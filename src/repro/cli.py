@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.analysis.comparison import compare_models
 from repro.analysis.pooling import pool_differential_cumulative, pool_probability_vector
@@ -166,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--chunk-packets", type=int, default=None,
                      help="read/cut the trace in chunks of this many packets "
                           "(bounds memory under --backend streaming)")
-    ana.add_argument("--batch-windows", type=int, default=None,
-                     help="windows moved per backend task / prefetch slot "
-                          "(default: auto; an execution knob — never changes results)")
     _add_transport_argument(ana)
     ana.add_argument("--mmap", action="store_true",
                      help="memory-map npy-layout shards instead of loading them "
@@ -229,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument("--workers", type=int, default=None,
                           help="worker processes for the window map (process backend)")
     _add_transport_argument(scen_run)
-    scen_run.add_argument("--batch-windows", type=int, default=None,
-                          help="windows moved per backend task / prefetch slot (default: auto)")
     scen_run.add_argument("--chunk-packets", type=int, default=None,
                           help="emit the scenario trace in chunks of this many packets "
                                "(bounds memory under --backend streaming)")
@@ -273,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the scenario trace in chunks of this many packets "
                               "(bounds memory under --backend streaming)")
     _add_transport_argument(det_run)
-    det_run.add_argument("--batch-windows", type=int, default=None,
-                         help="windows moved per backend task / prefetch slot "
-                              "(default: auto; an execution knob — never changes alarms)")
     det_run.add_argument("--mode", choices=list(MODE_NAMES), default="exact",
                          help="per-window analysis tier: 'exact' (fused kernel) or "
                               "'sketch' (detectors monitor the sketched histograms)")
@@ -484,6 +476,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_engine_line(stats: Mapping[str, object], *, chunks: bool = False) -> None:
+    """Print the ``engine:`` banner of one run from its ``engine_stats``.
+
+    *chunks* adds the chunk count and the windower's peak buffering (the
+    out-of-core evidence); the transport is shown whenever the run had one.
+    """
+    line = f"engine: backend={stats['backend']}"
+    if chunks:
+        line += f" chunks={stats.get('n_chunks')} peak buffered packets={stats.get('max_buffered_packets')}"
+    if "payload_transport" in stats:
+        line += f" transport={stats['payload_transport']}"
+    print(line)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     sketch = _sketch_from_args(args)
     if args.mode != "sketch" and sketch is not None:
@@ -506,14 +512,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             quantities=tuple(args.quantities),
             backend="streaming",
             chunk_packets=args.chunk_packets,
-            batch_windows=args.batch_windows,
             mode=args.mode,
             sketch=sketch,
             mmap=args.mmap,
         )
-        stats = analysis.engine_stats
-        print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
-              f"peak buffered packets={stats.get('max_buffered_packets')}")
+        _print_engine_line(analysis.engine_stats, chunks=True)
     elif args.mmap:
         # memory-mapped path: hand the engine the path so shards map, never load
         print(f"mapping trace shards from {args.trace}")
@@ -524,15 +527,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             n_workers=args.workers,
             backend=args.backend,
             chunk_packets=args.chunk_packets,
-            batch_windows=args.batch_windows,
             mode=args.mode,
             sketch=sketch,
             payload_transport=args.payload_transport,
             mmap=True,
         )
-        stats = analysis.engine_stats
-        print(f"engine: backend={stats['backend']}"
-              + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
+        _print_engine_line(analysis.engine_stats)
     else:
         trace = load_trace(args.trace)
         print(f"loaded {trace.n_packets} packets ({trace.n_valid} valid) from {args.trace}")
@@ -543,14 +543,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             n_workers=args.workers,
             backend=args.backend,
             chunk_packets=args.chunk_packets,
-            batch_windows=args.batch_windows,
             mode=args.mode,
             sketch=sketch,
             payload_transport=args.payload_transport,
         )
-        stats = analysis.engine_stats
-        if "payload_transport" in stats:
-            print(f"engine: backend={stats['backend']} transport={stats['payload_transport']}")
+        if "payload_transport" in analysis.engine_stats:
+            _print_engine_line(analysis.engine_stats)
     print(f"{analysis.n_windows} windows of N_V = {args.nv} valid packets\n")
     print("Table-I aggregates per window:")
     print(format_table(analysis.aggregates_table()))
@@ -699,15 +697,11 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         backend=args.backend,
         n_workers=args.workers,
         chunk_packets=args.chunk_packets,
-        batch_windows=args.batch_windows,
         mode=args.mode,
         sketch=sketch,
         payload_transport=args.payload_transport,
     )
-    stats = run.engine_stats
-    print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
-          f"peak buffered packets={stats.get('max_buffered_packets')}"
-          + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
+    _print_engine_line(run.engine_stats, chunks=True)
     print(f"{run.analysis.n_windows} windows of N_V = {args.nv} valid packets")
     for quantity in args.quantities:
         print(f"\nphase summary — {quantity}:")
@@ -766,7 +760,6 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
         backend=args.backend,
         n_workers=args.workers,
         chunk_packets=args.chunk_packets,
-        batch_windows=args.batch_windows,
         # argparse choices allow repeats; asking for a detector twice just
         # means "this one", so dedupe rather than error
         detectors=tuple(dict.fromkeys(args.detectors)),
@@ -775,10 +768,7 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
         sketch=sketch,
         payload_transport=args.payload_transport,
     )
-    stats = run.engine_stats
-    print(f"engine: backend={stats['backend']} chunks={stats.get('n_chunks')} "
-          f"peak buffered packets={stats.get('max_buffered_packets')}"
-          + (f" transport={stats['payload_transport']}" if "payload_transport" in stats else ""))
+    _print_engine_line(run.engine_stats, chunks=True)
     detection = run.detection
     boundaries = true_change_windows(run.phases.window_phase)
     print(f"{detection.n_windows} windows of N_V = {args.nv} valid packets; "

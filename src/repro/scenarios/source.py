@@ -24,11 +24,10 @@ the current block, the current phase's (edges, weights), and — while a
 cross-fade is in progress — the previous phase's, are alive at once.
 
 Downstream, :func:`repro.scenarios.run.analyze_scenario` windows this chunk
-stream and moves the windows through its execution backend in *batches*
-(``batch_windows``).  Batching — like ``chunk_packets`` — is pure execution
-plumbing: blocks, and therefore the emitted packets, are untouched by it,
-so every (backend, chunking, batching) combination replays the identical
-trace and the per-phase valid tally stays ahead of any window a consumer
+stream and moves the windows through its execution backend in *batches*.
+Batching — like ``chunk_packets`` — is pure execution plumbing: blocks, and
+therefore the emitted packets, are untouched by it, so every (backend,
+chunking, batching) combination replays the identical trace and the per-phase valid tally stays ahead of any window a consumer
 can observe.
 """
 

@@ -29,7 +29,7 @@ harness in ``tests/test_streaming_kernel.py`` pins the equivalence).  The
 need the matrix view (Table-I drivers, topology analysis) construct it
 lazily via :func:`repro.streaming.sparse_image.traffic_image` as before.
 
-Packing requires endpoint ids in ``[0, 2**32)``; :func:`window_products`
+Packing requires endpoint ids in ``[0, 2**32)``; :func:`column_products`
 falls back to the oracle path for wider ids, so the kernel is a pure
 optimisation, never a behaviour change.
 
@@ -67,8 +67,8 @@ __all__ = [
     "packable",
     "fused_products",
     "image_products",
+    "column_products",
     "window_products",
-    "payload_products",
 ]
 
 #: Largest endpoint id the packed-key kernel supports (ids are packed into
@@ -149,7 +149,7 @@ def fused_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
     """Aggregates and histograms of one window from its valid columns.
 
     *src*/*dst* must be the valid-only endpoint columns with every id in
-    ``[0, 2**32)`` (see :func:`packable`); :func:`window_products` handles
+    ``[0, 2**32)`` (see :func:`packable`); :func:`column_products` handles
     the dispatch.  Returns products byte-identical to :func:`image_products`.
     """
     n = int(src.size)
@@ -216,17 +216,13 @@ def image_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
     return compute_aggregates(image), quantity_histograms(image)
 
 
+def column_products(src: np.ndarray, dst: np.ndarray) -> WindowProducts:
+    """Analyse one window's valid columns: fused kernel when the ids pack, oracle otherwise."""
+    if packable(src, dst):
+        return fused_products(src, dst)
+    return image_products(src, dst)
+
+
 def window_products(window: PacketTrace) -> WindowProducts:
-    """Analyse one window: fused kernel when the ids pack, oracle otherwise."""
-    src, dst = valid_columns(window)
-    if packable(src, dst):
-        return fused_products(src, dst)
-    return image_products(src, dst)
-
-
-def payload_products(payload: WindowPayload) -> WindowProducts:
-    """Analyse one shipped window payload (worker side of the process backend)."""
-    src, dst = payload_columns(payload)
-    if packable(src, dst):
-        return fused_products(src, dst)
-    return image_products(src, dst)
+    """Analyse one in-memory window (:func:`column_products` of its valid columns)."""
+    return column_products(*valid_columns(window))

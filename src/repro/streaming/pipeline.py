@@ -20,7 +20,7 @@ analyse an on-disk trace far larger than memory
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -42,6 +42,7 @@ from repro.streaming.packet import PacketTrace
 from repro.streaming.parallel import (
     ExecutionBackend,
     ProcessBackend,
+    SerialBackend,
     StreamingBackend,
     get_backend,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "WindowResult",
     "WindowedAnalysis",
     "StreamAnalyzer",
+    "WindowTask",
     "analyze_window",
     "analyze_window_image",
     "analyze_window_sketch",
@@ -74,22 +76,6 @@ __all__ = [
 #: Per-window analysis modes: the exact fused kernel, or the sub-linear
 #: Count-Min/HyperLogLog sketch tier (:mod:`repro.streaming.sketch`).
 MODE_NAMES = ("exact", "sketch")
-
-
-def _resolve_sketch_config(mode: str, sketch: "SketchConfig | None") -> "SketchConfig | None":
-    """Validate *mode* and pin the sketch configuration it implies.
-
-    Returns ``None`` for exact mode (rejecting a stray sketch config, which
-    would otherwise be silently ignored) and a concrete
-    :class:`~repro.streaming.sketch.SketchConfig` for sketch mode.
-    """
-    if mode not in MODE_NAMES:
-        raise ValueError(f"unknown mode {mode!r}; valid modes: {MODE_NAMES}")
-    if mode == "exact":
-        if sketch is not None:
-            raise ValueError("a sketch config was supplied but mode is 'exact'")
-        return None
-    return sketch if sketch is not None else DEFAULT_SKETCH_CONFIG
 
 _logger = get_logger("streaming.pipeline")
 
@@ -355,7 +341,16 @@ class StreamAnalyzer:
         if unknown:
             raise ValueError(f"unknown quantities {sorted(unknown)}; valid names: {QUANTITY_NAMES}")
         self.quantities = tuple(quantities)
-        self.sketch_config = _resolve_sketch_config(mode, sketch)
+        if mode not in MODE_NAMES:
+            raise ValueError(f"unknown mode {mode!r}; valid modes: {MODE_NAMES}")
+        if mode == "exact" and sketch is not None:
+            # a stray config would otherwise be silently ignored
+            raise ValueError("a sketch config was supplied but mode is 'exact'")
+        #: the resolved sketch configuration (``None`` in exact mode) that
+        #: callers hand to :func:`fold_windows`
+        self.sketch_config = (
+            None if mode == "exact" else sketch if sketch is not None else DEFAULT_SKETCH_CONFIG
+        )
         self.mode = mode
         self._moments = {q: StreamingMoments() for q in self.quantities}
         self._totals = {q: 0 for q in self.quantities}
@@ -597,7 +592,11 @@ def analyze_window_sketch(
 #: time, so the second element is ``None``).
 _ResultPair = Tuple[WindowResult, Optional[Mapping[str, PooledDistribution]]]
 
-#: Windows grouped into one streaming-backend queue slot by default.
+#: One window as it reaches :class:`WindowTask`: an in-memory window, its
+#: shipped column payload, or a reference to that payload in shared memory.
+_WindowItem = Union[PacketTrace, _kernel.WindowPayload, _shm.ShmWindowRef]
+
+#: Windows grouped into one streaming-backend queue slot.
 STREAM_BATCH_WINDOWS = 4
 
 #: Upper bound on windows per process-backend task (keeps payloads modest).
@@ -620,233 +619,117 @@ def default_batch_windows(n_windows: int, n_workers: int) -> int:
     return max(1, min(ideal, MAX_BATCH_WINDOWS))
 
 
-def _analyze_payload_batch(
-    batch: Tuple[_kernel.WindowPayload, ...],
-    quantities: Sequence[str] = QUANTITY_NAMES,
-) -> Tuple[_ResultPair, ...]:
-    """Worker task of the batched process backend.
+@dataclass(frozen=True)
+class WindowTask:
+    """The one per-batch analysis every backend maps, in-process or in a worker.
 
-    Analyses a batch of shipped window payloads and pools the requested
-    *quantities* while still in the worker, so the parent's fold is a pure
-    accumulate.  The returned pairs are compact: four aggregate integers,
-    five small (degrees, counts) histogram arrays, and one
-    ~``log2(N_V)``-bin pooled vector per pooled quantity per window.
+    Each item of a batch is resolved to columns and analysed by the exact
+    kernel (*sketch* is ``None``) or the sketch tier under *sketch*.  With
+    *pool* set the pooled vectors of *quantities* are computed here too, so
+    a worker returns them and the parent's fold is a pure accumulate.
+    Frozen and module-level, so it pickles to the process backend's workers.
     """
-    pairs = []
-    for payload in batch:
-        aggregates, histograms = _kernel.payload_products(payload)
-        result = WindowResult(aggregates=aggregates, histograms=histograms)
-        pooled = {q: pool_differential_cumulative(histograms[q]) for q in quantities}
-        pairs.append((result, pooled))
-    return tuple(pairs)
 
+    sketch: SketchConfig | None
+    quantities: Tuple[str, ...]
+    pool: bool
 
-def _analyze_ref_batch(
-    batch: Tuple["_shm.ShmWindowRef", ...],
-    quantities: Sequence[str] = QUANTITY_NAMES,
-) -> Tuple[_ResultPair, ...]:
-    """Shared-memory sibling of :func:`_analyze_payload_batch`.
+    def __call__(self, batch: Sequence[_WindowItem]) -> Tuple[_ResultPair, ...]:
+        """Analyse a batch of windows into ``(result, pooled | None)`` pairs, in order."""
+        pairs = []
+        # results are fresh arrays, so nothing aliases a segment after the block
+        with _shm.attached_payloads() as resolve:
+            for item in batch:
+                if isinstance(item, _shm.ShmWindowRef):
+                    item = resolve(item)
+                result = self._analyze(item)
+                pooled = None
+                if self.pool:
+                    pooled = {
+                        q: pool_differential_cumulative(result.histograms[q]) for q in self.quantities
+                    }
+                pairs.append((result, pooled))
+        return tuple(pairs)
 
-    The batch carries :class:`~repro.streaming.shm.ShmWindowRef` records
-    instead of column arrays; the worker attaches the published segment and
-    analyses zero-copy views of the shared pages.  The returned pairs are
-    fresh arrays (aggregates, histograms, pooled vectors), so nothing
-    aliases the segment once the task returns.
-    """
-    pairs = []
-    with _shm.attached_payloads() as resolve:
-        for ref in batch:
-            aggregates, histograms = _kernel.payload_products(resolve(ref))
-            result = WindowResult(aggregates=aggregates, histograms=histograms)
-            pooled = {q: pool_differential_cumulative(histograms[q]) for q in quantities}
-            pairs.append((result, pooled))
-    return tuple(pairs)
-
-
-def _analyze_ref_batch_sketch(
-    batch: Tuple["_shm.ShmWindowRef", ...],
-    quantities: Sequence[str] = QUANTITY_NAMES,
-    config: SketchConfig = DEFAULT_SKETCH_CONFIG,
-) -> Tuple[_ResultPair, ...]:
-    """Sketch-mode worker task over shared-memory window references."""
-    pairs = []
-    with _shm.attached_payloads() as resolve:
-        for ref in batch:
-            result = _sketch_payload_result(resolve(ref), config)
-            pooled = {q: pool_differential_cumulative(result.histograms[q]) for q in quantities}
-            pairs.append((result, pooled))
-    return tuple(pairs)
-
-
-def _sketch_payload_result(
-    payload: _kernel.WindowPayload, config: SketchConfig
-) -> WindowResult:
-    """Sketch one shipped window payload (worker side of the process backend)."""
-    src, dst = _kernel.payload_columns(payload)
-    aggregates, histograms, bounds, sketch = sketch_products(src, dst, config)
-    return WindowResult(
-        aggregates=aggregates, histograms=histograms, bounds=bounds, sketch=sketch
-    )
-
-
-def _analyze_payload_batch_sketch(
-    batch: Tuple[_kernel.WindowPayload, ...],
-    quantities: Sequence[str] = QUANTITY_NAMES,
-    config: SketchConfig = DEFAULT_SKETCH_CONFIG,
-) -> Tuple[_ResultPair, ...]:
-    """Sketch-mode worker task of the batched process backend.
-
-    Same shape as :func:`_analyze_payload_batch` (results plus worker-side
-    pooled vectors); each result additionally ships its ~0.4 MB sketch so
-    the parent can fold by merging.
-    """
-    pairs = []
-    for payload in batch:
-        result = _sketch_payload_result(payload, config)
-        pooled = {q: pool_differential_cumulative(result.histograms[q]) for q in quantities}
-        pairs.append((result, pooled))
-    return tuple(pairs)
-
-
-def _analyze_window_batch(batch: Tuple[PacketTrace, ...]) -> Tuple[WindowResult, ...]:
-    """In-process batch analysis (one streaming-backend queue slot)."""
-    return tuple(analyze_window(window) for window in batch)
-
-
-def _analyze_window_batch_sketch(
-    batch: Tuple[PacketTrace, ...], config: SketchConfig = DEFAULT_SKETCH_CONFIG
-) -> Tuple[WindowResult, ...]:
-    """Sketch-mode in-process batch analysis (one streaming queue slot)."""
-    return tuple(analyze_window_sketch(window, config) for window in batch)
+    def _analyze(self, item: Union[PacketTrace, _kernel.WindowPayload]) -> WindowResult:
+        if isinstance(item, PacketTrace):
+            if self.sketch is None:
+                return analyze_window(item)
+            return analyze_window_sketch(item, self.sketch)
+        src, dst = _kernel.payload_columns(item)
+        if self.sketch is None:
+            return WindowResult(*_kernel.column_products(src, dst))
+        return WindowResult(*sketch_products(src, dst, self.sketch))
 
 
 def iter_window_results(
     backend_impl: ExecutionBackend,
     windows: Iterable[PacketTrace],
     *,
-    batch_windows: int | None = None,
     quantities: Sequence[str] = QUANTITY_NAMES,
-    mode: str = "exact",
     sketch: SketchConfig | None = None,
 ) -> Iterator[_ResultPair]:
     """Map windows through a backend, yielding ``(result, pooled)`` in order.
 
-    The batching strategy is chosen per backend:
+    Every backend maps the same :class:`WindowTask` (exact kernel when
+    *sketch* is ``None``, else the sketch tier under that config) over
+    batches of windows; only the items and the batch size depend on the
+    backend:
 
-    * **process** — windows are packed into raw-column payloads
-      (:func:`repro.streaming.kernel.window_payload`) and shipped in batches
-      of *batch_windows* (default :func:`default_batch_windows`), one batch
-      per task; workers return results *and* the pooled vectors of
-      *quantities*, so per-window pickle traffic and task count both drop
-      by ~an order of magnitude versus mapping whole :class:`PacketTrace`
-      windows one at a time.  How the column bytes reach the workers is the
-      backend's ``payload_transport``: ``"shm"`` (the default where
-      supported) publishes them once into a shared-memory segment
-      (:mod:`repro.streaming.shm`) and ships only references, ``"pickle"``
-      ships the bytes through each task — bit-identical results either way.
-      When the backend cannot occupy more than one worker the map degrades
-      to the serial path (identical code, no payload round-trip).
-    * **streaming** — windows move through the prefetch queue in batches of
-      *batch_windows* (default :data:`STREAM_BATCH_WINDOWS`), cutting
-      per-window queue synchronisation; at most ``(prefetch + 1) × batch``
-      windows are buffered.
-    * **serial / custom** — the plain in-order map, no batching overhead.
+    * **process** — windows are packed into column payloads
+      (:func:`repro.streaming.kernel.window_payload`) and shipped
+      :func:`default_batch_windows` per task; workers return results *and*
+      the pooled vectors of *quantities*.  The backend's
+      ``payload_transport`` decides how the column bytes travel: ``"shm"``
+      (the default where supported) publishes them once into a
+      shared-memory segment (:mod:`repro.streaming.shm`) and ships
+      references, unlinked the moment the map completes or fails;
+      ``"pickle"`` ships the bytes through each task.  A backend that
+      cannot occupy a second worker analyses in-process instead and leaves
+      pooling to the fold.
+    * **streaming** — windows move through the prefetch queue
+      :data:`STREAM_BATCH_WINDOWS` at a time, so at most
+      ``(prefetch + 1) × batch`` windows are buffered.
+    * **serial / custom** — one window per call, no batching overhead.
 
-    Every strategy yields results in window order, so the downstream fold —
-    and therefore the pooled output — is bit-identical across all of them.
-    In sketch mode (``mode="sketch"``) the same dispatch applies with the
-    sketch-tier per-window analysis; sketched results are likewise
-    bit-identical among themselves across backends and batch sizes.
+    Every path yields results in window order through the same per-window
+    code, so the downstream fold — and therefore the pooled output — is
+    bit-identical across all of them, in either mode.
     """
-    sketch_config = _resolve_sketch_config(mode, sketch)
-    if batch_windows is not None:
-        batch_windows = check_positive_int(batch_windows, "batch_windows")
-    if sketch_config is not None:
-        window_task = functools.partial(analyze_window_sketch, config=sketch_config)
-    else:
-        window_task = analyze_window
-    if isinstance(backend_impl, ProcessBackend):
-        if backend_impl.n_workers <= 1:
+    items: Iterable[_WindowItem] = windows
+    batch = 1
+    pool = False
+    with contextlib.ExitStack() as published_segment:
+        if isinstance(backend_impl, ProcessBackend) and backend_impl.n_workers > 1:
+            # pack each window as it streams past, one window alive at a time,
+            # so peak memory is the column payloads, never payloads + records
+            items = [_kernel.window_payload(w) for w in windows]
+            n = len(items)
+            if backend_impl.downgraded(n):  # n <= 1: cannot occupy a second worker
+                _logger.debug("process backend cannot parallelise %d window(s); analysing in-process", n)
+                backend_impl = SerialBackend()
+            else:
+                pool = True
+                batch = default_batch_windows(n, backend_impl.n_workers)
+                if backend_impl.payload_transport == "shm":
+                    # zero-copy: the segment now holds the bytes (the heap
+                    # payloads are dropped) and tasks carry only references
+                    items = published_segment.enter_context(_shm.publish_payloads(items)).refs
+                _logger.debug(
+                    "process backend: %d windows -> tasks of <= %d windows (%s transport)",
+                    n, batch, backend_impl.payload_transport,
+                )
+        elif isinstance(backend_impl, ProcessBackend):
             # nothing to parallelise: stay lazy and in-process, identical to
             # the serial backend (no payload packing, one window at a time)
             _logger.debug("process backend has a single worker; analysing in-process")
-            for window in windows:
-                yield window_task(window), None
-            return
-        # pack each window as it streams past — one window alive at a time,
-        # so peak memory is the column payloads, never payloads + records;
-        # the packing (contiguous column extraction) is the same work the
-        # kernel's valid_columns would do, so nothing is paid twice
-        payloads = [_kernel.window_payload(w) for w in windows]
-        n = len(payloads)
-        if backend_impl.downgraded(n):  # n <= 1: cannot occupy a second worker
-            _logger.debug("process backend cannot parallelise %d window(s); analysing in-process", n)
-            for payload in payloads:
-                if sketch_config is not None:
-                    yield _sketch_payload_result(payload, sketch_config), None
-                else:
-                    aggregates, histograms = _kernel.payload_products(payload)
-                    yield WindowResult(aggregates=aggregates, histograms=histograms), None
-            return
-        batch = batch_windows or default_batch_windows(n, backend_impl.n_workers)
-        # an oversized explicit batch must not starve the pool below one
-        # task per worker
-        batch = min(batch, max(1, -(-n // backend_impl.n_workers)))
-        transport = backend_impl.payload_transport
-        if transport == "shm":
-            # zero-copy path: columns go into one named shared-memory
-            # segment; tasks carry only (segment, offset, dtype) references
-            # and workers analyse views of the shared pages.  The segment is
-            # closed and unlinked the moment the fold completes (or fails).
-            published = _shm.publish_payloads(payloads)
-            del payloads  # the segment holds the bytes now; drop the heap copy
-            batches = list(iter_batches(published.refs, batch))
-            _logger.debug(
-                "process backend: %d windows -> %d batched tasks of <= %d windows "
-                "(shm transport, segment %s, %d bytes)",
-                n, len(batches), batch, published.segment, published.nbytes,
-            )
-            if sketch_config is not None:
-                task = functools.partial(
-                    _analyze_ref_batch_sketch,
-                    quantities=tuple(quantities),
-                    config=sketch_config,
-                )
-            else:
-                task = functools.partial(_analyze_ref_batch, quantities=tuple(quantities))
-            with published:
-                for pair_batch in backend_impl.map(task, batches):
-                    yield from pair_batch
-            return
-        batches = list(iter_batches(payloads, batch))
-        _logger.debug(
-            "process backend: %d windows -> %d batched tasks of <= %d windows (pickle transport)",
-            n, len(batches), batch,
-        )
-        if sketch_config is not None:
-            task = functools.partial(
-                _analyze_payload_batch_sketch,
-                quantities=tuple(quantities),
-                config=sketch_config,
-            )
-        else:
-            task = functools.partial(_analyze_payload_batch, quantities=tuple(quantities))
-        for pair_batch in backend_impl.map(task, batches):
-            yield from pair_batch
-        return
-    if isinstance(backend_impl, StreamingBackend):
-        batch = batch_windows or STREAM_BATCH_WINDOWS
-        _logger.debug("streaming backend: prefetching window batches of %d", batch)
-        if sketch_config is not None:
-            batch_task = functools.partial(_analyze_window_batch_sketch, config=sketch_config)
-        else:
-            batch_task = _analyze_window_batch
-        for result_batch in backend_impl.map(batch_task, iter_batches(windows, batch)):
-            for result in result_batch:
-                yield result, None
-        return
-    for result in backend_impl.map(window_task, windows):
-        yield result, None
+            backend_impl = SerialBackend()
+        elif isinstance(backend_impl, StreamingBackend):
+            batch = STREAM_BATCH_WINDOWS
+            _logger.debug("streaming backend: prefetching window batches of %d", batch)
+        task = WindowTask(sketch, tuple(quantities), pool)
+        for pairs in backend_impl.map(task, iter_batches(items, batch)):
+            yield from pairs
 
 
 def fold_windows(
@@ -855,8 +738,6 @@ def fold_windows(
     folder,
     *,
     consumers: Sequence = (),
-    batch_windows: int | None = None,
-    mode: str = "exact",
     sketch: SketchConfig | None = None,
 ) -> int:
     """THE window-fold loop: map windows through a backend into *folder*.
@@ -885,8 +766,9 @@ def fold_windows(
         any are present — or when *folder* is itself a multi-consumer
         wrapper — each window is pooled exactly once and the vectors are
         shared, instead of every consumer re-pooling.
-    batch_windows / mode / sketch:
-        As in :func:`iter_window_results`.
+    sketch:
+        The folder's resolved sketch configuration (``None`` in exact
+        mode), as in :func:`iter_window_results`.
 
     Returns
     -------
@@ -894,10 +776,7 @@ def fold_windows(
         Number of windows folded by this call.
     """
     quantities = tuple(folder.quantities)
-    pairs = iter_window_results(
-        backend_impl, windows, batch_windows=batch_windows,
-        quantities=quantities, mode=mode, sketch=sketch,
-    )
+    pairs = iter_window_results(backend_impl, windows, quantities=quantities, sketch=sketch)
     # pre-pool only when more than one consumer would otherwise repeat the
     # pooling work; a bare StreamAnalyzer pools internally either way, and
     # both paths run pool_differential_cumulative on the same histogram, so
@@ -924,7 +803,6 @@ def analyze_windows(
     n_workers: int | None = None,
     backend: Union[str, ExecutionBackend, None] = None,
     keep_windows: bool = True,
-    batch_windows: int | None = None,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
     payload_transport: str | None = None,
@@ -934,10 +812,7 @@ def analyze_windows(
     analyzer = StreamAnalyzer(
         n_valid, quantities, keep_windows=keep_windows, mode=mode, sketch=sketch
     )
-    fold_windows(
-        backend_impl, windows, analyzer, batch_windows=batch_windows,
-        mode=mode, sketch=analyzer.sketch_config,
-    )
+    fold_windows(backend_impl, windows, analyzer, sketch=analyzer.sketch_config)
     return analyzer.result(stats=_engine_stats(backend_impl))
 
 
@@ -959,7 +834,6 @@ def analyze_trace(
     backend: Union[str, ExecutionBackend, None] = None,
     chunk_packets: int | None = None,
     keep_windows: bool | None = None,
-    batch_windows: int | None = None,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
     payload_transport: str | None = None,
@@ -998,11 +872,6 @@ def analyze_trace(
         Retain per-window :class:`WindowResult`\\ s on the returned analysis.
         Defaults to ``True`` except under the streaming backend, whose point
         is not to.
-    batch_windows:
-        Windows moved per backend task / prefetch slot; ``None`` picks a
-        per-backend default (:func:`default_batch_windows` for the process
-        backend, :data:`STREAM_BATCH_WINDOWS` for streaming).  Batching
-        never changes results — only how they move.
     mode:
         Per-window analysis tier: ``"exact"`` (the fused kernel, default)
         or ``"sketch"`` (the sub-linear Count-Min/HyperLogLog tier of
@@ -1066,10 +935,7 @@ def analyze_trace(
     analyzer = StreamAnalyzer(
         n_valid, quantities, keep_windows=keep_windows, mode=mode, sketch=sketch
     )
-    fold_windows(
-        backend_impl, windows, analyzer, batch_windows=batch_windows,
-        mode=mode, sketch=analyzer.sketch_config,
-    )
+    fold_windows(backend_impl, windows, analyzer, sketch=analyzer.sketch_config)
     stats = _engine_stats(backend_impl)
     if windower is not None:
         # read after the fold so the high-water mark covers the whole pass

@@ -573,10 +573,6 @@ class TestStreamAnalyzerDirect:
 class TestWindowBatching:
     """The batched execution paths: payload batches, stream batches, pools."""
 
-    @pytest.fixture(scope="class")
-    def serial_analysis(self, small_trace):
-        return analyze_trace(small_trace, 20_000, backend="serial", keep_windows=False)
-
     def test_iter_batches_groups_in_order(self):
         assert list(iter_batches(range(7), 3)) == [(0, 1, 2), (3, 4, 5), (6,)]
         assert list(iter_batches([], 4)) == []
@@ -589,19 +585,6 @@ class TestWindowBatching:
         assert default_batch_windows(100_000, 4) == 64  # capped payloads
         with pytest.raises(ValueError):
             default_batch_windows(0, 4)
-
-    @pytest.mark.parametrize("backend,kwargs", [
-        ("serial", {}),
-        ("process", {"n_workers": 2}),
-        ("streaming", {"chunk_packets": 40_000}),
-    ])
-    def test_batch_windows_never_changes_results(self, small_trace, serial_analysis, backend, kwargs):
-        for batch in (1, 3):
-            analysis = analyze_trace(
-                small_trace, 20_000, backend=backend, batch_windows=batch,
-                keep_windows=False, **kwargs,
-            )
-            assert analysis == serial_analysis
 
     def test_process_path_ships_pooled_vectors(self, small_trace):
         windows = list(iter_windows(small_trace, 20_000))
@@ -638,12 +621,6 @@ class TestWindowBatching:
         assert len(pairs) == 1 and pairs[0][1] is None
         assert any("downgrading to serial" in message for message in caplog.messages)
 
-    def test_invalid_batch_windows_rejected(self, small_trace):
-        with pytest.raises(ValueError, match="batch_windows"):
-            analyze_trace(small_trace, 20_000, batch_windows=0)
-        with pytest.raises(ValueError, match="batch_windows"):
-            analyze_trace(small_trace, 20_000, backend="streaming", batch_windows=-2)
-
     def test_single_worker_process_path_analyses_in_process(self, small_trace, caplog):
         windows = list(iter_windows(small_trace, 20_000))
         with caplog.at_level(logging.DEBUG, logger="repro.streaming.pipeline"):
@@ -652,15 +629,6 @@ class TestWindowBatching:
         assert any("in-process" in message for message in caplog.messages)
         for (result, _), expected in zip(pairs, map(analyze_window, windows)):
             assert result.aggregates == expected.aggregates
-
-    def test_oversized_batch_capped_to_keep_workers_occupied(self, small_trace, serial_analysis):
-        # an explicit batch_windows larger than the workload must not collapse
-        # the map to a single task (which would downgrade the pool to serial)
-        analysis = analyze_trace(
-            small_trace, 20_000, backend="process", n_workers=2,
-            batch_windows=10_000, keep_windows=False,
-        )
-        assert analysis == serial_analysis
 
     def test_effective_workers(self):
         backend = ProcessBackend(4)

@@ -29,7 +29,7 @@ from repro.streaming.kernel import (
 )
 from repro.streaming.packet import PacketTrace
 from repro.streaming.pipeline import (
-    _analyze_payload_batch,
+    WindowTask,
     analyze_window,
     analyze_window_image,
 )
@@ -93,8 +93,7 @@ class TestKernelEquivalence:
     @settings(max_examples=100)
     def test_payload_roundtrip_matches_direct_analysis(self, window):
         payload = window_payload(window)
-        (pairs,) = [_analyze_payload_batch((payload,))]
-        result, pooled = pairs[0]
+        ((result, pooled),) = WindowTask(None, QUANTITY_NAMES, pool=True)((payload,))
         direct = analyze_window(window)
         assert_products_equal(result, direct)
         # worker-side pooling must be bitwise what the fold would compute

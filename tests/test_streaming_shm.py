@@ -127,33 +127,42 @@ def _all_valid_trace(n: int = 20_000, n_ids: int = 500, seed: int = 7) -> Packet
     return PacketTrace.from_arrays(rng.integers(0, n_ids, n), rng.integers(0, n_ids, n))
 
 
+#: Every way a window reaches the kernel besides the serial reference:
+#: backend factory plus the extra ``analyze_trace`` arguments of the cell.
+_DISPATCH_CELLS = {
+    "streaming": (lambda: "streaming", {"chunk_packets": 9_000}),
+    "process-1-worker": (lambda: ProcessBackend(1), {}),
+    # one window cannot occupy a second worker: the downgraded in-process path
+    "process-downgraded": (lambda: ProcessBackend(4), {"max_windows": 1}),
+    "process-pickle": (lambda: ProcessBackend(2, payload_transport="pickle"), {}),
+    "process-shm": (lambda: ProcessBackend(2, payload_transport="shm"), {}),
+}
+
+
 class TestTransportEquivalence:
     @pytest.fixture(scope="class")
     def trace(self):
         return _mixed_trace()
 
-    @pytest.fixture(scope="class")
-    def serial(self, trace):
-        return analyze_trace(trace, 4_000)
-
-    @pytest.mark.parametrize("transport", shm_mod.TRANSPORT_NAMES)
-    def test_pooled_bit_identical_across_transports(self, trace, serial, transport):
-        parallel = analyze_trace(
-            trace, 4_000, backend=ProcessBackend(2, payload_transport=transport)
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
+    @pytest.mark.parametrize("cell", sorted(_DISPATCH_CELLS))
+    def test_every_dispatch_cell_bit_identical_to_serial(self, trace, mode, cell):
+        make_backend, kwargs = _DISPATCH_CELLS[cell]
+        backend = make_backend()
+        reference = analyze_trace(
+            trace, 4_000, mode=mode, backend="serial", max_windows=kwargs.get("max_windows")
         )
-        assert parallel.engine_stats["payload_transport"] == transport
-        _assert_bit_identical(serial, parallel)
-        shutdown_shared_pools()
-
-    def test_sketch_mode_bit_identical_across_transports(self, trace):
-        runs = [
-            analyze_trace(
-                trace, 4_000, mode="sketch",
-                backend=ProcessBackend(2, payload_transport=transport),
-            )
-            for transport in shm_mod.TRANSPORT_NAMES
-        ]
-        _assert_bit_identical(runs[0], runs[1])
+        candidate = analyze_trace(trace, 4_000, mode=mode, backend=backend, **kwargs)
+        assert candidate.engine_stats.get("payload_transport") == getattr(
+            backend, "payload_transport", None
+        )
+        assert candidate.n_windows == reference.n_windows
+        _assert_bit_identical(reference, candidate)
+        for quantity in reference.quantities:
+            mine = reference.merged_histogram(quantity)
+            theirs = candidate.merged_histogram(quantity)
+            assert mine.degrees.tobytes() == theirs.degrees.tobytes(), quantity
+            assert mine.counts.tobytes() == theirs.counts.tobytes(), quantity
         shutdown_shared_pools()
 
     def test_detection_alarms_identical_across_transports(self):

@@ -313,7 +313,7 @@ class TestSketchModeEngine:
         reference = analyze_trace(trace, 5_000, mode="sketch")
         assert reference.mode == "sketch"
         for kwargs in (
-            {"backend": "serial", "batch_windows": 3},
+            {"backend": "serial"},
             {"backend": "process", "n_workers": 2},
             {"backend": "streaming", "chunk_packets": 7_000},
         ):
