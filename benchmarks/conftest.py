@@ -6,6 +6,10 @@ from DESIGN.md) and attaches the resulting rows to the pytest-benchmark
 experiment and records what it produced.  Heavy experiment drivers are run
 with ``rounds=1`` (they are experiments, not micro-benchmarks); the substrate
 micro-benchmarks use pytest-benchmark's default calibration.
+
+The artifact tests rewrite their committed ``BENCH_*.json`` only when
+``REPRO_BENCH_WRITE=1`` is set (:func:`write_artifact`), so a plain
+``pytest`` run at the repo root leaves the tracked files alone.
 """
 
 from __future__ import annotations
@@ -44,6 +48,31 @@ def machine_metadata(timing: str) -> dict:
 def machine_meta():
     """The :func:`machine_metadata` helper, injectable into artifact writers."""
     return machine_metadata
+
+
+#: Environment flag that lets the artifact tests rewrite ``BENCH_*.json``.
+BENCH_WRITE_ENV = "REPRO_BENCH_WRITE"
+
+
+def write_artifact(path, report: dict) -> None:
+    """Write one ``BENCH_*.json`` artifact when ``REPRO_BENCH_WRITE=1``.
+
+    The report is serialised either way, so a malformed one fails every
+    run.  Without the flag nothing is written: a plain ``pytest`` run only
+    reads the committed artifacts, and recording them is an explicit
+    ``REPRO_BENCH_WRITE=1 python -m pytest benchmarks/...`` step.
+    """
+    text = json.dumps(report, indent=1) + "\n"
+    if os.environ.get(BENCH_WRITE_ENV) != "1":
+        print(f"\n{path.name} not rewritten: set {BENCH_WRITE_ENV}=1 to record it")
+        return
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.fixture()
+def bench_artifact():
+    """The :func:`write_artifact` helper, injectable into artifact tests."""
+    return write_artifact
 
 
 def attach_rows(benchmark, rows) -> None:

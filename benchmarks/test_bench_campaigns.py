@@ -81,7 +81,7 @@ def test_bench_campaign_sweep(benchmark, tmp_path, case, pool, prewarm):
     benchmark.extra_info["rows"] = [json.loads(json.dumps(row, default=str))]
 
 
-def test_bench_campaign_artifact(machine_meta):
+def test_bench_campaign_artifact(machine_meta, bench_artifact):
     """Write the campaign benchmark artifact (runs after the timed cases)."""
     if not _RESULTS:
         pytest.skip("no campaign timings collected in this run")
@@ -94,5 +94,5 @@ def test_bench_campaign_artifact(machine_meta):
         "cases": _RESULTS,
         "cold_over_warm": round(cold / warm, 2) if cold and warm else None,
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    bench_artifact(ARTIFACT_PATH, report)
     assert ARTIFACT_PATH.exists()

@@ -94,7 +94,7 @@ def test_bench_detection_overhead(benchmark, scenario, backend):
     benchmark.extra_info["rows"] = [json.loads(json.dumps(row, default=str))]
 
 
-def test_bench_detection_artifact(machine_meta):
+def test_bench_detection_artifact(machine_meta, bench_artifact):
     """Aggregate, assert the ≤25% overhead contract, write the artifact."""
     if not _RESULTS:
         pytest.skip("no detection timings collected in this run")
@@ -112,7 +112,7 @@ def test_bench_detection_artifact(machine_meta):
         "machine": machine_meta("best-of-1 wall clock (time.perf_counter), rounds=1"),
         "cases": _RESULTS,
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    bench_artifact(ARTIFACT_PATH, report)
     assert overall <= MAX_OVERHEAD_RATIO, (
         f"detection overhead {overall:.3f}× exceeds the {MAX_OVERHEAD_RATIO}× contract"
     )

@@ -17,7 +17,6 @@ several-fold inflated number that trips ``tools/check_bench.py``.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -80,7 +79,7 @@ def test_bench_scenarios(scenario, backend):
     _RESULTS[f"{scenario}/{backend}"] = row
 
 
-def test_bench_scenarios_artifact(machine_meta):
+def test_bench_scenarios_artifact(machine_meta, bench_artifact):
     """Write the scenario benchmark artifact (runs after the timed cases)."""
     if not _RESULTS:
         pytest.skip("no scenario timings collected in this run")
@@ -92,5 +91,5 @@ def test_bench_scenarios_artifact(machine_meta):
         "machine": machine_meta(TIMING),
         "cases": _RESULTS,
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    bench_artifact(ARTIFACT_PATH, report)
     assert ARTIFACT_PATH.is_file()

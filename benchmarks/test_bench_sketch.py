@@ -24,7 +24,6 @@ smoke runs (the win assertion then applies to the largest smoke size).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import tracemalloc
@@ -115,7 +114,7 @@ def test_bench_sketch_vs_exact(n_valid):
     }
 
 
-def test_bench_sketch_artifact(machine_meta):
+def test_bench_sketch_artifact(machine_meta, bench_artifact):
     """Write ``BENCH_sketch.json`` and assert the crossover claim."""
     if not _RESULTS:
         pytest.skip("no sketch timings collected in this run")
@@ -145,5 +144,5 @@ def test_bench_sketch_artifact(machine_meta):
         "machine": machine_meta(TIMING),
         "cases": {str(n): _RESULTS[n] for n in sorted(_RESULTS)},
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    bench_artifact(ARTIFACT_PATH, report)
     assert ARTIFACT_PATH.is_file()

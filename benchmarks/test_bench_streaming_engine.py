@@ -1,11 +1,11 @@
-"""Benchmark — the backend × transport grid, at scales where parallelism is decidable.
+"""Benchmark — the backend grid, at scales where parallelism is decidable.
 
 Times :func:`repro.streaming.pipeline.analyze_trace` on seeded traces under
-every execution case (serial, process+shm, process+pickle, streaming) and
-writes a ``BENCH_streaming_engine.json`` artifact of per-scale rows so the
-perf trajectory of the engine can be tracked across PRs.  All cases must
-agree with the serial run bit-for-bit — the benchmark asserts identity as
-it times.
+every execution case (serial, process+shm, streaming) and writes a
+``BENCH_streaming_engine.json`` artifact (with ``REPRO_BENCH_WRITE=1``) of
+per-scale rows so the perf trajectory of the engine can be tracked across
+PRs.  All cases must agree with the serial run bit-for-bit — the benchmark
+asserts identity as it times.
 
 The old single-scale benchmark timed 96k packets, where pool start-up
 dwarfs the work and "process ≈ serial" is noise, not a finding.  The grid
@@ -32,7 +32,6 @@ Timing method: each case is run once to warm pools/caches, then
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -62,8 +61,7 @@ SCALES: dict[str, dict] = {
 #: case name → ``analyze_trace`` keyword arguments.
 CASES: dict[str, dict] = {
     "serial": {"backend": "serial"},
-    "process-shm": {"backend": "process", "payload_transport": "shm"},
-    "process-pickle": {"backend": "process", "payload_transport": "pickle"},
+    "process-shm": {"backend": "process"},
     "streaming": {"backend": "streaming"},
 }
 
@@ -185,7 +183,7 @@ def test_bench_parallel_wins():
     )
 
 
-def test_bench_streaming_engine_artifact(machine_meta):
+def test_bench_streaming_engine_artifact(machine_meta, bench_artifact):
     """Write the grid artifact (runs after the timed cases)."""
     if not _RESULTS:
         pytest.skip("no timings collected in this run")
@@ -213,5 +211,5 @@ def test_bench_streaming_engine_artifact(machine_meta):
         "cases": _RESULTS,
         "speedup_vs_serial": speedups,
     }
-    ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    bench_artifact(ARTIFACT_PATH, report)
     assert ARTIFACT_PATH.is_file()

@@ -66,17 +66,6 @@ from repro.streaming.trace_io import (
 __all__ = ["build_parser", "main"]
 
 
-def _add_transport_argument(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--payload-transport`` knob of the process backend."""
-    from repro.streaming.shm import TRANSPORT_NAMES
-
-    parser.add_argument("--payload-transport", choices=list(TRANSPORT_NAMES), default=None,
-                        help="how the process backend ships window columns to workers: "
-                             "'shm' (shared-memory segments, zero-copy — the default "
-                             "where supported) or 'pickle' (bytes through each task); "
-                             "results are bit-identical either way")
-
-
 def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--sketch-*`` knobs of the sketch tier to *parser*."""
     parser.add_argument("--sketch-epsilon", type=float, default=None,
@@ -166,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--chunk-packets", type=int, default=None,
                      help="read/cut the trace in chunks of this many packets "
                           "(bounds memory under --backend streaming)")
-    _add_transport_argument(ana)
     ana.add_argument("--mmap", action="store_true",
                      help="memory-map npy-layout shards instead of loading them "
                           "(see 'generate --layout npy'); other formats fall back "
@@ -225,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "buffering bounded by --chunk-packets")
     scen_run.add_argument("--workers", type=int, default=None,
                           help="worker processes for the window map (process backend)")
-    _add_transport_argument(scen_run)
     scen_run.add_argument("--chunk-packets", type=int, default=None,
                           help="emit the scenario trace in chunks of this many packets "
                                "(bounds memory under --backend streaming)")
@@ -267,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     det_run.add_argument("--chunk-packets", type=int, default=None,
                          help="emit the scenario trace in chunks of this many packets "
                               "(bounds memory under --backend streaming)")
-    _add_transport_argument(det_run)
     det_run.add_argument("--mode", choices=list(MODE_NAMES), default="exact",
                          help="per-window analysis tier: 'exact' (fused kernel) or "
                               "'sketch' (detectors monitor the sketched histograms)")
@@ -498,9 +484,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.backend == "streaming":
         if args.workers is not None:
             print("note: --workers is ignored by the streaming backend (single-threaded fold)")
-        if args.payload_transport is not None:
-            print("error: --payload-transport applies to the process backend only")
-            return 2
         if Path(args.trace).exists() and trace_format(args.trace) == 1:
             print("note: v1 .npz archives load whole before chunking; generate with "
                   "--shard-packets for true out-of-core reads")
@@ -529,7 +512,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             chunk_packets=args.chunk_packets,
             mode=args.mode,
             sketch=sketch,
-            payload_transport=args.payload_transport,
             mmap=True,
         )
         _print_engine_line(analysis.engine_stats)
@@ -545,7 +527,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             chunk_packets=args.chunk_packets,
             mode=args.mode,
             sketch=sketch,
-            payload_transport=args.payload_transport,
         )
         if "payload_transport" in analysis.engine_stats:
             _print_engine_line(analysis.engine_stats)
@@ -699,7 +680,6 @@ def _cmd_scenarios_run(args: argparse.Namespace) -> int:
         chunk_packets=args.chunk_packets,
         mode=args.mode,
         sketch=sketch,
-        payload_transport=args.payload_transport,
     )
     _print_engine_line(run.engine_stats, chunks=True)
     print(f"{run.analysis.n_windows} windows of N_V = {args.nv} valid packets")
@@ -766,7 +746,6 @@ def _cmd_detect_run(args: argparse.Namespace) -> int:
         detect_quantity=args.quantity,
         mode=args.mode,
         sketch=sketch,
-        payload_transport=args.payload_transport,
     )
     _print_engine_line(run.engine_stats, chunks=True)
     detection = run.detection

@@ -81,7 +81,6 @@ def analyze_scenario(
     detect_quantity: str | None = None,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
-    payload_transport: str | None = None,
 ) -> ScenarioRun:
     """Generate and analyse a scenario in one bounded-memory pass.
 
@@ -120,11 +119,6 @@ def analyze_scenario(
         unchanged on sketched histograms — drift alarms at line rate in
         O(sketch) memory per window — and stay bit-identical across
         backends and chunkings for a fixed sketch seed.
-    payload_transport:
-        How the process backend ships window columns to its workers
-        (``"shm"``/``"pickle"``), as in
-        :func:`repro.streaming.pipeline.analyze_trace` — an execution
-        knob, never part of the result's identity.
 
     Returns
     -------
@@ -132,7 +126,7 @@ def analyze_scenario(
     """
     scenario = get_scenario(scenario)
     n_valid = check_positive_int(n_valid, "n_valid")
-    backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
+    backend_impl = get_backend(backend, n_workers=n_workers)
     if keep_windows is None:
         keep_windows = backend_impl.name != "streaming"
     if chunk_packets is None and backend_impl.name == "streaming":

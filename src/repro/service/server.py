@@ -64,23 +64,39 @@ __all__ = ["DEFAULT_MAX_BATCH_BYTES", "ServiceDaemon", "serve"]
 _logger = get_logger("service.server")
 
 #: Default cap on one request body; a larger ``Content-Length`` gets a 413
-#: structured error without the body ever being read.
+#: structured error and the body is discarded, never parsed.
 DEFAULT_MAX_BATCH_BYTES = 8 * 1024 * 1024
 
 _MAX_HEADER_BYTES = 16 * 1024
+
+#: Bounds on reading and discarding what a client still sends after an
+#: early error reply (413/411/400).  Closing with unread bytes queued makes
+#: the kernel reset the connection, and a client still writing its body
+#: then sees a broken pipe instead of the reply.
+_DISCARD_MAX_BYTES = 64 * 1024 * 1024
+_DISCARD_TIMEOUT_S = 2.0
 
 
 class _HttpError(Exception):
     """A request failure that maps to one structured error response."""
 
     def __init__(
-        self, status: int, code: str, message: str, *, headers: Mapping[str, str] | None = None
+        self,
+        status: int,
+        code: str,
+        message: str,
+        *,
+        headers: Mapping[str, str] | None = None,
+        unread_body: int | None = None,
     ) -> None:
         super().__init__(message)
         self.status = status
         self.code = code
         self.message = message
         self.headers = dict(headers or {})
+        #: Declared body bytes left unread when the request was refused
+        #: early; ``None`` when the length is unknown.
+        self.unread_body = unread_body
 
 
 _REASONS = {
@@ -229,6 +245,7 @@ class ServiceDaemon:
                     "batch_too_large",
                     f"request body of {length} bytes exceeds the "
                     f"{self.max_batch_bytes}-byte limit",
+                    unread_body=length,
                 )
             # a client that disconnects mid-body raises IncompleteReadError
             # here — before any parsing or folding
@@ -244,6 +261,7 @@ class ServiceDaemon:
                 self.requests_failed += 1
                 writer.write(self._respond(error.status, self._error_body(error), error.headers))
                 await writer.drain()
+                await self._discard_unread(reader, writer, error.unread_body)
                 return
             except (asyncio.IncompleteReadError, ConnectionError):
                 # mid-stream disconnect: nothing parsed, nothing folded
@@ -273,6 +291,34 @@ class ServiceDaemon:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+
+    @staticmethod
+    async def _discard_unread(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter, length: int | None
+    ) -> None:
+        """Read and drop the rest of a refused request before closing.
+
+        With a declared *length* at most that many bytes are read;
+        otherwise reading stops at end of stream.  Our half of the
+        connection is shut first, so a client that reads until close sees
+        the reply end.  Either way the read is capped at
+        :data:`_DISCARD_MAX_BYTES` and :data:`_DISCARD_TIMEOUT_S`.
+        """
+
+        async def discard(remaining: int) -> None:
+            while remaining > 0:
+                chunk = await reader.read(min(remaining, 1 << 16))
+                if not chunk:
+                    return
+                remaining -= len(chunk)
+
+        limit = _DISCARD_MAX_BYTES if length is None else min(length, _DISCARD_MAX_BYTES)
+        try:
+            if writer.can_write_eof():
+                writer.write_eof()
+            await asyncio.wait_for(discard(limit), _DISCARD_TIMEOUT_S)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
 
     # ---------------------------------------------------------------- routes
 

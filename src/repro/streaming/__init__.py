@@ -21,7 +21,7 @@ subpackage provides a laptop-scale replacement for that pipeline:
   pluggable backend (:mod:`repro.streaming.parallel` — serial, process pool,
   or bounded-memory streaming with prefetch),
 * :mod:`repro.streaming.shm` — the shared-memory zero-copy payload transport
-  the process backend defaults to where the platform supports it.
+  the process backend ships window columns through.
 """
 
 from repro.streaming.aggregates import (
@@ -40,7 +40,6 @@ from repro.streaming.parallel import (
     StreamingBackend,
     default_worker_count,
     get_backend,
-    map_windows,
     shutdown_shared_pools,
     usable_cpu_count,
 )
@@ -55,13 +54,7 @@ from repro.streaming.pipeline import (
     analyze_windows,
     default_batch_windows,
 )
-from repro.streaming.shm import (
-    TRANSPORT_NAMES,
-    default_payload_transport,
-    publish_payloads,
-    reap_orphaned_segments,
-    shm_supported,
-)
+from repro.streaming.shm import publish_payloads, reap_orphaned_segments
 from repro.streaming.sketch import (
     DEFAULT_SKETCH_CONFIG,
     SketchBounds,
@@ -104,7 +97,6 @@ __all__ = [
     "ProcessBackend",
     "StreamingBackend",
     "get_backend",
-    "map_windows",
     "MODE_NAMES",
     "StreamAnalyzer",
     "WindowedAnalysis",
@@ -123,11 +115,8 @@ __all__ = [
     "default_worker_count",
     "usable_cpu_count",
     "shutdown_shared_pools",
-    "TRANSPORT_NAMES",
-    "default_payload_transport",
     "publish_payloads",
     "reap_orphaned_segments",
-    "shm_supported",
     "KERNEL_MAX_ID",
     "fused_products",
     "image_products",

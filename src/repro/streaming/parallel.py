@@ -19,16 +19,13 @@ swapped beneath a stable analysis API:
   (:func:`shared_pool`), so repeated analyses stop paying worker start-up.
 * :class:`StreamingBackend` — bounded-memory single-pass execution that
   overlaps window production (I/O, decompression, windowing) with analysis
-  through a fixed-depth prefetch queue fed by a background thread; at most
-  ``prefetch`` items (windows, or window batches when the engine batches)
-  exist in the queue at any moment.
+  through a prefetch queue of fixed depth :data:`PREFETCH_DEPTH` fed by a
+  background thread; at most that many items (window batches, as the
+  engine maps them) wait in the queue at any moment.
 
 All three yield results **in window order**, which is what lets the
 incremental consumer (:class:`repro.streaming.pipeline.StreamAnalyzer`) fold
 them into bit-identical pooled aggregates regardless of backend.
-
-The legacy entry point :func:`map_windows` is kept as a list-returning
-wrapper over the serial/process backends.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import multiprocessing
 import os
 import queue
 import threading
-from typing import Callable, Iterable, Iterator, List, Protocol, Sequence, TypeVar, Union, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar, Union, runtime_checkable
 
 from repro._util.logging import get_logger
 from repro._util.validation import check_positive_int
@@ -50,7 +47,7 @@ __all__ = [
     "StreamingBackend",
     "BACKEND_NAMES",
     "get_backend",
-    "map_windows",
+    "PREFETCH_DEPTH",
     "usable_cpu_count",
     "default_worker_count",
     "default_chunksize",
@@ -269,22 +266,8 @@ class ProcessBackend:
 
     name = "process"
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        *,
-        chunksize: int | None = None,
-        payload_transport: str | None = None,
-    ) -> None:
-        from repro.streaming.shm import check_payload_transport
-
+    def __init__(self, n_workers: int | None = None) -> None:
         self.n_workers = default_worker_count() if n_workers is None else check_positive_int(n_workers, "n_workers")
-        self.chunksize = None if chunksize is None else check_positive_int(chunksize, "chunksize")
-        #: How the batched payload path ships window columns to workers:
-        #: ``"shm"`` (shared-memory segments, zero-copy, the default where
-        #: supported) or ``"pickle"`` (column bytes through the task pipe).
-        #: Bit-identical output either way.
-        self.payload_transport = check_payload_transport(payload_transport)
 
     def effective_workers(self, n_items: int) -> int:
         """Workers a map over *n_items* would actually occupy (1 = serial)."""
@@ -314,7 +297,7 @@ class ProcessBackend:
         if self.downgraded(len(item_list)):
             return SerialBackend().map(func, item_list)
         n_workers = self.effective_workers(len(item_list))
-        chunksize = self.chunksize or default_chunksize(len(item_list), n_workers)
+        chunksize = default_chunksize(len(item_list), n_workers)
         _logger.debug(
             "mapping %d tasks across %d workers (chunksize %d)", len(item_list), n_workers, chunksize
         )
@@ -342,6 +325,10 @@ class ProcessBackend:
             _checkin_shared_pool(entry, failed=failed)
 
 
+#: Depth of the streaming backend's prefetch queue, in mapped items (window
+#: batches, as the engine maps them).
+PREFETCH_DEPTH = 4
+
 #: How long a map teardown waits for the prefetch producer thread to exit
 #: before logging that it is still alive (it cannot be killed; an input
 #: iterator blocked in I/O pins it until that read returns).
@@ -358,26 +345,24 @@ class _PrefetchFailure:
 class StreamingBackend:
     """Bounded-memory execution overlapping window production with analysis.
 
-    A daemon thread pulls windows from the input iterator into a queue of
-    fixed depth *prefetch* while the consuming thread applies *func*; the
-    queue back-pressures the producer, so at most ``prefetch + 1`` windows
-    are alive at any moment no matter how long the trace is.  Producer
-    exceptions are re-raised at the consumption point; if the consumer
-    raises or abandons the result iterator, the producer is signalled to
-    stop so no thread (or buffered window) outlives the map.
+    A daemon thread pulls items from the input iterator into a queue of
+    fixed depth :data:`PREFETCH_DEPTH` while the consuming thread applies
+    *func*; the queue back-pressures the producer, so at most
+    ``PREFETCH_DEPTH + 1`` items are alive at any moment no matter how long
+    the trace is.  Producer exceptions are re-raised at the consumption
+    point; if the consumer raises or abandons the result iterator, the
+    producer is signalled to stop so no thread (or buffered window)
+    outlives the map.
     """
 
     name = "streaming"
-
-    def __init__(self, *, prefetch: int = 4) -> None:
-        self.prefetch = check_positive_int(prefetch, "prefetch")
 
     def map(self, func: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:
         """Apply *func* to the stream with a fixed-depth prefetch buffer."""
         return self._consume(func, iter(items))
 
     def _consume(self, func, items) -> Iterator:
-        fence = queue.Queue(maxsize=self.prefetch)
+        fence = queue.Queue(maxsize=PREFETCH_DEPTH)
         done = object()
         stop = threading.Event()
 
@@ -443,9 +428,6 @@ def get_backend(
     backend: Union[str, ExecutionBackend, None] = None,
     *,
     n_workers: int | None = None,
-    chunksize: int | None = None,
-    prefetch: int = 4,
-    payload_transport: str | None = None,
 ) -> ExecutionBackend:
     """Resolve a backend specification to an :class:`ExecutionBackend`.
 
@@ -455,68 +437,17 @@ def get_backend(
     ``n_workers > 1``, then a process pool.  With ``backend="process"`` an
     explicit *n_workers* is honoured exactly (``1`` degrades to serial
     execution, logged); ``None`` picks :func:`default_worker_count`.
-    *payload_transport* selects how the process backend ships window
-    columns (:data:`repro.streaming.shm.TRANSPORT_NAMES`); requesting it
-    for a backend that ships no payloads is an error, not a silent no-op.
     """
     if backend is None:
-        if n_workers is not None and n_workers > 1:
-            return ProcessBackend(n_workers, chunksize=chunksize, payload_transport=payload_transport)
-        backend = "serial"
+        backend = "process" if n_workers is not None and n_workers > 1 else "serial"
     if isinstance(backend, str):
         if backend == "process":
-            return ProcessBackend(n_workers, chunksize=chunksize, payload_transport=payload_transport)
-        if payload_transport is not None:
-            raise ValueError(
-                f"payload_transport={payload_transport!r} only applies to the process "
-                f"backend, not {backend!r}"
-            )
+            return ProcessBackend(n_workers)
         if backend == "serial":
             return SerialBackend()
         if backend == "streaming":
-            return StreamingBackend(prefetch=prefetch)
+            return StreamingBackend()
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")
     if isinstance(backend, ExecutionBackend):
-        if payload_transport is not None:
-            raise ValueError(
-                "payload_transport cannot be combined with an already-built backend "
-                "instance; pass it to the ProcessBackend constructor instead"
-            )
         return backend
     raise TypeError(f"backend must be a name, ExecutionBackend, or None, got {type(backend).__name__}")
-
-
-def map_windows(
-    func: Callable[[_T], _R],
-    windows: Iterable[_T],
-    *,
-    n_workers: int = 1,
-    chunksize: int | None = None,
-) -> List[_R]:
-    """Apply *func* to every window, optionally across worker processes.
-
-    Parameters
-    ----------
-    func:
-        Analysis callable taking one window.  For multi-process execution it
-        must be picklable (a module-level function or
-        :func:`functools.partial` thereof).
-    windows:
-        Iterable of windows (e.g. :func:`repro.streaming.window.iter_windows`).
-    n_workers:
-        Number of worker processes; ``<= 1`` runs serially in-process.
-    chunksize:
-        Windows handed to a worker per task when running in parallel; by
-        default derived from the workload via :func:`default_chunksize`.
-
-    Returns
-    -------
-    list
-        One result per window, in window order.
-    """
-    window_list = list(windows)
-    if not window_list:
-        return []
-    if n_workers <= 1:
-        return [func(w) for w in window_list]
-    return list(ProcessBackend(n_workers, chunksize=chunksize).map(func, window_list))

@@ -679,17 +679,15 @@ def iter_window_results(
     * **process** — windows are packed into column payloads
       (:func:`repro.streaming.kernel.window_payload`) and shipped
       :func:`default_batch_windows` per task; workers return results *and*
-      the pooled vectors of *quantities*.  The backend's
-      ``payload_transport`` decides how the column bytes travel: ``"shm"``
-      (the default where supported) publishes them once into a
-      shared-memory segment (:mod:`repro.streaming.shm`) and ships
-      references, unlinked the moment the map completes or fails;
-      ``"pickle"`` ships the bytes through each task.  A backend that
-      cannot occupy a second worker analyses in-process instead and leaves
-      pooling to the fold.
+      the pooled vectors of *quantities*.  The column bytes are published
+      once into a shared-memory segment (:mod:`repro.streaming.shm`) and
+      tasks carry only references; the segment is unlinked the moment the
+      map completes or fails.  A backend that cannot occupy a second
+      worker analyses in-process instead and leaves pooling to the fold.
     * **streaming** — windows move through the prefetch queue
       :data:`STREAM_BATCH_WINDOWS` at a time, so at most
-      ``(prefetch + 1) × batch`` windows are buffered.
+      ``(PREFETCH_DEPTH + 1) × batch`` windows are buffered
+      (:data:`~repro.streaming.parallel.PREFETCH_DEPTH`).
     * **serial / custom** — one window per call, no batching overhead.
 
     Every path yields results in window order through the same per-window
@@ -711,14 +709,10 @@ def iter_window_results(
             else:
                 pool = True
                 batch = default_batch_windows(n, backend_impl.n_workers)
-                if backend_impl.payload_transport == "shm":
-                    # zero-copy: the segment now holds the bytes (the heap
-                    # payloads are dropped) and tasks carry only references
-                    items = published_segment.enter_context(_shm.publish_payloads(items)).refs
-                _logger.debug(
-                    "process backend: %d windows -> tasks of <= %d windows (%s transport)",
-                    n, batch, backend_impl.payload_transport,
-                )
+                # zero-copy: the segment now holds the bytes (the heap
+                # payloads are dropped) and tasks carry only references
+                items = published_segment.enter_context(_shm.publish_payloads(items)).refs
+                _logger.debug("process backend: %d windows -> tasks of <= %d windows", n, batch)
         elif isinstance(backend_impl, ProcessBackend):
             # nothing to parallelise: stay lazy and in-process, identical to
             # the serial backend (no payload packing, one window at a time)
@@ -805,10 +799,9 @@ def analyze_windows(
     keep_windows: bool = True,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
-    payload_transport: str | None = None,
 ) -> WindowedAnalysis:
     """Analyse pre-cut windows (used directly by the parallel benchmarks)."""
-    backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
+    backend_impl = get_backend(backend, n_workers=n_workers)
     analyzer = StreamAnalyzer(
         n_valid, quantities, keep_windows=keep_windows, mode=mode, sketch=sketch
     )
@@ -820,7 +813,7 @@ def _engine_stats(backend_impl: ExecutionBackend) -> dict:
     """Base ``engine_stats`` of one run: backend name plus its transport."""
     stats: dict[str, object] = {"backend": backend_impl.name}
     if isinstance(backend_impl, ProcessBackend):
-        stats["payload_transport"] = backend_impl.payload_transport
+        stats["payload_transport"] = "shm"
     return stats
 
 
@@ -836,7 +829,6 @@ def analyze_trace(
     keep_windows: bool | None = None,
     mode: str = "exact",
     sketch: SketchConfig | None = None,
-    payload_transport: str | None = None,
     mmap: bool = False,
 ) -> WindowedAnalysis:
     """Window a trace and analyse every complete ``N_V`` window in one pass.
@@ -883,13 +875,6 @@ def analyze_trace(
         (:class:`~repro.streaming.sketch.SketchConfig`); ``None`` uses
         :data:`~repro.streaming.sketch.DEFAULT_SKETCH_CONFIG`.  Rejected
         in exact mode.
-    payload_transport:
-        How the process backend ships window columns to its workers:
-        ``"shm"`` (shared-memory segments, the default where supported) or
-        ``"pickle"`` (bytes through each task).  Results are bit-identical
-        either way; only valid when this call builds the backend (pass it
-        to the :class:`~repro.streaming.parallel.ProcessBackend`
-        constructor when supplying an instance).
     mmap:
         Memory-map stored-trace shards instead of eagerly loading them
         (uncompressed v2 ``npy`` layouts only; other layouts fall back to
@@ -902,7 +887,7 @@ def analyze_trace(
     WindowedAnalysis
     """
     n_valid = check_positive_int(n_valid, "n_valid")
-    backend_impl = get_backend(backend, n_workers=n_workers, payload_transport=payload_transport)
+    backend_impl = get_backend(backend, n_workers=n_workers)
     if keep_windows is None:
         keep_windows = backend_impl.name != "streaming"
 

@@ -1,10 +1,8 @@
 """Shared-memory zero-copy transport for batched window payloads.
 
-The batched process backend used to *pickle* every window's raw
-``src``/``dst``/``valid`` columns into each pool task.  That is one full
-copy of the analysed bytes through a pipe per map — the dominant transfer
-cost once windows hold millions of packets.  This module moves the bytes
-through ``multiprocessing.shared_memory`` instead:
+The process backend never pickles a window's raw ``src``/``dst``/``valid``
+columns into its pool tasks; it moves the bytes through
+``multiprocessing.shared_memory`` instead:
 
 * the **parent** concatenates the payload columns of *all* windows of one
   map into a single named shared-memory segment
@@ -18,9 +16,9 @@ through ``multiprocessing.shared_memory`` instead:
   pages are mapped, not duplicated, so *k* workers analysing one map share
   one copy of the columns.
 
-The views are the same bytes the pickle transport would have shipped, so
-the analysis products are bit-identical between the two transports
-(pinned by ``tests/test_streaming_shm.py``).
+The views are the same bytes the parent packed, so the analysis products
+are bit-identical to an in-process run (pinned by
+``tests/test_streaming_shm.py``).
 
 Segment lifecycle is deterministic: the creator closes **and unlinks** the
 segment as soon as the map's fold completes (or fails), mirroring how the
@@ -48,13 +46,9 @@ from repro.streaming.kernel import WindowPayload
 
 __all__ = [
     "SEGMENT_PREFIX",
-    "TRANSPORT_NAMES",
     "ColumnRef",
     "ShmWindowRef",
     "PublishedPayloads",
-    "shm_supported",
-    "default_payload_transport",
-    "check_payload_transport",
     "publish_payloads",
     "attached_payloads",
     "reap_orphaned_segments",
@@ -67,11 +61,6 @@ _logger = get_logger("streaming.shm")
 #: dead) from a live map (creator alive).
 SEGMENT_PREFIX = "repro_shm"
 
-#: Payload transports the process backend understands: ``"pickle"`` ships
-#: column bytes through the task pipe, ``"shm"`` ships only references into
-#: a shared-memory segment.
-TRANSPORT_NAMES = ("pickle", "shm")
-
 #: Column offsets are aligned so every view starts on a clean boundary.
 _ALIGN = 16
 
@@ -81,37 +70,6 @@ _ALIGN = 16
 _SHM_DIR = "/dev/shm"
 
 _SEGMENT_COUNTER = itertools.count()
-
-
-def shm_supported() -> bool:
-    """Whether ``multiprocessing.shared_memory`` works on this platform."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - all supported platforms have it
-        return False
-    return True
-
-
-def default_payload_transport() -> str:
-    """The transport the process backend uses when none is requested.
-
-    ``"shm"`` wherever the platform supports it, ``"pickle"`` otherwise —
-    both produce bit-identical analysis output.
-    """
-    return "shm" if shm_supported() else "pickle"
-
-
-def check_payload_transport(transport: str | None) -> str:
-    """Resolve/validate a ``payload_transport`` argument to a concrete name."""
-    if transport is None:
-        return default_payload_transport()
-    if transport not in TRANSPORT_NAMES:
-        raise ValueError(
-            f"unknown payload_transport {transport!r}; expected one of {TRANSPORT_NAMES}"
-        )
-    if transport == "shm" and not shm_supported():  # pragma: no cover - platform
-        raise ValueError("payload_transport='shm' is not supported on this platform")
-    return transport
 
 
 @dataclass(frozen=True)

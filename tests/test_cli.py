@@ -184,31 +184,32 @@ class TestShmAndMmapFlags:
 
     def test_payload_transport_printed_and_identical(self, npy_trace_dir, capsys):
         outputs = {}
-        for transport in ("pickle", "shm"):
+        for backend in ("serial", "process"):
             code = main(
                 ["analyze", str(npy_trace_dir), "--nv", "10000",
-                 "--quantities", "source_fanout", "--backend", "process",
-                 "--workers", "2", "--payload-transport", transport]
+                 "--quantities", "source_fanout", "--backend", backend, "--workers", "2"]
             )
             assert code == 0
-            outputs[transport] = capsys.readouterr().out
-            assert f"transport={transport}" in outputs[transport]
+            outputs[backend] = capsys.readouterr().out
+        assert "transport=shm" in outputs["process"]
+        assert "transport=" not in outputs["serial"]
         marker = "windows of N_V"
-        assert outputs["pickle"].split(marker)[1] == outputs["shm"].split(marker)[1]
+        assert outputs["serial"].split(marker)[1] == outputs["process"].split(marker)[1]
 
-    def test_streaming_backend_rejects_transport(self, npy_trace_dir, capsys):
-        code = main(
-            ["analyze", str(npy_trace_dir), "--nv", "10000",
-             "--backend", "streaming", "--payload-transport", "shm"]
-        )
-        assert code == 2
-        assert "payload-transport" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "command", [["analyze", "trace.npz"], ["scenarios", "run", "flash-crowd"],
+                    ["detect", "run", "flash-crowd"]],
+    )
+    def test_payload_transport_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--payload-transport", "shm"])
+        assert excinfo.value.code == 2
+        assert "--payload-transport" in capsys.readouterr().err
 
-    def test_detect_run_accepts_transport(self, capsys):
+    def test_detect_run_reports_shm_transport(self, capsys):
         code = main(
             ["detect", "run", "flash-crowd", "--nv", "2000",
-             "--backend", "process", "--workers", "2",
-             "--payload-transport", "shm"]
+             "--backend", "process", "--workers", "2"]
         )
         assert code == 0
         assert "transport=shm" in capsys.readouterr().out

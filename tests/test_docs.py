@@ -39,8 +39,8 @@ class TestGeneratedPages:
 
     @staticmethod
     def _mask_timings(text: str) -> str:
-        # running the benchmark harnesses (the tier-1 suite includes them)
-        # rewrites the BENCH_*.json wall-clock numbers, so the pytest-level
+        # recording the benchmark harnesses (REPRO_BENCH_WRITE=1) rewrites
+        # the BENCH_*.json wall-clock numbers, so the pytest-level
         # freshness check must be timing-insensitive; the CI docs job does
         # the byte-exact `git diff` check against the committed artifacts
         return re.sub(r"\b\d+\.\d+\b", "~", text)

@@ -169,6 +169,19 @@ class TestFaultContainment:
         _assert_structured_error(status, body, "batch_too_large")
         daemon.assert_fold_advances()
 
+    def test_oversized_batch_answers_cli_client_every_time(self, daemon):
+        # the CLI's own client sends the whole body before reading the
+        # reply; the daemon must read past the unwanted body instead of
+        # resetting the connection under it
+        from repro.cli import _daemon_request
+
+        huge = (_batch_line(200_000) + "\n").encode("utf-8")
+        url = f"http://127.0.0.1:{daemon.port}/ingest/{JOB}"
+        for _ in range(10):
+            status, body, _headers = _daemon_request(url, data=huge)
+            _assert_structured_error(status, body, "batch_too_large")
+        daemon.assert_fold_advances()
+
     def test_mid_stream_disconnect(self, daemon):
         # promise a large body, send a fragment, vanish: the daemon must
         # drop the request without folding the fragment

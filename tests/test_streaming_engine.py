@@ -16,6 +16,7 @@ from repro.streaming.aggregates import QUANTITY_NAMES
 from repro.streaming.packet import PacketTrace
 from repro.streaming.parallel import (
     BACKEND_NAMES,
+    PREFETCH_DEPTH,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -23,7 +24,6 @@ from repro.streaming.parallel import (
     default_chunksize,
     default_worker_count,
     get_backend,
-    map_windows,
     shared_pool,
     shutdown_shared_pools,
     usable_cpu_count,
@@ -220,20 +220,19 @@ class TestBackends:
                 live.append(i)
                 yield i
 
-        backend = StreamingBackend(prefetch=2)
         max_ahead = 0
-        for i, result in enumerate(backend.map(lambda x: x, producer())):
+        for i, result in enumerate(StreamingBackend().map(lambda x: x, producer())):
             assert result == i
             max_ahead = max(max_ahead, len(live) - (i + 1))
-        # producer can only run prefetch + 1 items ahead of the consumer
-        assert max_ahead <= 3
+        # producer can only run PREFETCH_DEPTH + 1 items ahead of the consumer
+        assert max_ahead <= PREFETCH_DEPTH + 1
 
     def test_streaming_backend_propagates_producer_error(self):
         def producer():
             yield 1
             raise RuntimeError("disk on fire")
 
-        results = StreamingBackend(prefetch=1).map(lambda x: x, producer())
+        results = StreamingBackend().map(lambda x: x, producer())
         assert next(results) == 1
         with pytest.raises(RuntimeError, match="disk on fire"):
             next(results)
@@ -248,7 +247,7 @@ class TestBackends:
         def boom(x):
             raise ValueError("analysis failed")
 
-        results = StreamingBackend(prefetch=2).map(boom, iter(range(100)))
+        results = StreamingBackend().map(boom, iter(range(100)))
         with pytest.raises(ValueError, match="analysis failed"):
             next(results)
         deadline = time.time() + 5.0
@@ -257,7 +256,7 @@ class TestBackends:
         assert not self._prefetch_threads()
 
     def test_streaming_backend_no_thread_leak_on_abandoned_iterator(self):
-        results = StreamingBackend(prefetch=2).map(lambda x: x, iter(range(100)))
+        results = StreamingBackend().map(lambda x: x, iter(range(100)))
         assert next(results) == 0
         results.close()  # abandon mid-stream (what GC does to a dropped iterator)
         deadline = time.time() + 5.0
@@ -291,7 +290,7 @@ class TestBackends:
             release.wait(30)  # the "input iterator blocked in I/O" case
             raise RuntimeError("late disk failure")
 
-        results = StreamingBackend(prefetch=1).map(lambda x: x, producer())
+        results = StreamingBackend().map(lambda x: x, producer())
         assert next(results) == 0
         with caplog.at_level(logging.WARNING, logger="repro.streaming.parallel"):
             results.close()  # abandon the map while the producer is pinned
@@ -305,21 +304,6 @@ class TestBackends:
             "dropped after the consumer abandoned" in message for message in caplog.messages
         )
 
-    def test_payload_transport_validation(self):
-        from repro.streaming.shm import TRANSPORT_NAMES
-
-        assert ProcessBackend(2).payload_transport in TRANSPORT_NAMES
-        assert get_backend("process", n_workers=2, payload_transport="pickle").payload_transport == "pickle"
-        assert get_backend(None, n_workers=2, payload_transport="pickle").payload_transport == "pickle"
-        with pytest.raises(ValueError, match="payload_transport"):
-            get_backend("serial", payload_transport="shm")
-        with pytest.raises(ValueError, match="payload_transport"):
-            get_backend("streaming", payload_transport="pickle")
-        with pytest.raises(ValueError, match="ProcessBackend constructor"):
-            get_backend(SerialBackend(), payload_transport="shm")
-        with pytest.raises(ValueError, match="unknown payload_transport"):
-            ProcessBackend(2, payload_transport="carrier-pigeon")
-
     def test_default_chunksize_heuristic(self):
         assert default_chunksize(100, 4) == 100 // 16
         assert default_chunksize(3, 4) == 1
@@ -328,7 +312,7 @@ class TestBackends:
 
     def test_map_windows_uses_heuristic_chunksize(self, small_trace):
         windows = list(iter_windows(small_trace, 20_000))
-        results = map_windows(analyze_window, windows, n_workers=2)
+        results = list(ProcessBackend(2).map(analyze_window, windows))
         assert len(results) == len(windows)
 
 

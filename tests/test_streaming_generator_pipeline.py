@@ -7,7 +7,7 @@ import pytest
 
 from repro.streaming.aggregates import QUANTITY_NAMES
 from repro.streaming.packet import PacketTrace
-from repro.streaming.parallel import default_worker_count, map_windows
+from repro.streaming.parallel import ProcessBackend, SerialBackend, default_worker_count
 from repro.streaming.pipeline import analyze_trace, analyze_window, analyze_windows
 from repro.streaming.trace_generator import (
     TraceConfig,
@@ -102,14 +102,15 @@ class TestTraceGenerator:
 class TestParallelMap:
     def test_serial_matches_parallel(self, small_trace):
         windows = list(iter_windows(small_trace, 20_000))
-        serial = map_windows(analyze_window, windows, n_workers=1)
-        parallel = map_windows(analyze_window, windows, n_workers=2)
+        serial = list(SerialBackend().map(analyze_window, windows))
+        parallel = list(ProcessBackend(2).map(analyze_window, windows))
         assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
             assert a.aggregates == b.aggregates
 
     def test_empty_input(self):
-        assert map_windows(analyze_window, []) == []
+        assert list(SerialBackend().map(analyze_window, [])) == []
+        assert list(ProcessBackend(2).map(analyze_window, [])) == []
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1

@@ -5,8 +5,9 @@ Pins the tentpole guarantees of the zero-copy path:
 * :func:`repro.streaming.shm.publish_payloads` /
   :func:`~repro.streaming.shm.attached_payloads` round-trip column bytes
   exactly, ship references that pickle small, and leave no segment behind;
-* pickle and shm transports produce ``tobytes()``-identical pooled vectors,
-  aggregates, and alarm sequences on every surface that maps windows;
+* the process backend's shm transport produces pooled vectors,
+  aggregates, and alarm sequences ``tobytes()``-identical to serial on
+  every surface that maps windows;
 * segments leaked by a SIGKILLed creator are reaped at the next publish
   (real-process test, same pattern as the campaign fleet suite);
 * ``npy``-layout shards memory-map bit-identically to the eager reader.
@@ -37,11 +38,6 @@ from repro.streaming.trace_io import (
     save_trace_sharded,
 )
 from repro.streaming.window import iter_windows
-
-pytestmark = pytest.mark.skipif(
-    not shm_mod.shm_supported(), reason="multiprocessing.shared_memory unavailable"
-)
-
 
 def _mixed_trace(n: int = 40_000, n_ids: int = 700, seed: int = 5) -> PacketTrace:
     """A trace with ~10% invalid packets, so window payloads carry a valid column."""
@@ -134,8 +130,7 @@ _DISPATCH_CELLS = {
     "process-1-worker": (lambda: ProcessBackend(1), {}),
     # one window cannot occupy a second worker: the downgraded in-process path
     "process-downgraded": (lambda: ProcessBackend(4), {"max_windows": 1}),
-    "process-pickle": (lambda: ProcessBackend(2, payload_transport="pickle"), {}),
-    "process-shm": (lambda: ProcessBackend(2, payload_transport="shm"), {}),
+    "process-shm": (lambda: ProcessBackend(2), {}),
 }
 
 
@@ -153,9 +148,8 @@ class TestTransportEquivalence:
             trace, 4_000, mode=mode, backend="serial", max_windows=kwargs.get("max_windows")
         )
         candidate = analyze_trace(trace, 4_000, mode=mode, backend=backend, **kwargs)
-        assert candidate.engine_stats.get("payload_transport") == getattr(
-            backend, "payload_transport", None
-        )
+        expected_transport = "shm" if isinstance(backend, ProcessBackend) else None
+        assert candidate.engine_stats.get("payload_transport") == expected_transport
         assert candidate.n_windows == reference.n_windows
         _assert_bit_identical(reference, candidate)
         for quantity in reference.quantities:
@@ -171,10 +165,9 @@ class TestTransportEquivalence:
 
         runs = [
             analyze_scenario(
-                "flash-crowd", 2_000, seed=1, detectors=DETECTOR_NAMES,
-                backend=ProcessBackend(2, payload_transport=transport),
+                "flash-crowd", 2_000, seed=1, detectors=DETECTOR_NAMES, backend=backend,
             )
-            for transport in shm_mod.TRANSPORT_NAMES
+            for backend in ("serial", ProcessBackend(2))
         ]
         assert runs[0].detection.alarms == runs[1].detection.alarms
         assert runs[0].detection.alarms  # the scenario does raise alarms
@@ -182,7 +175,7 @@ class TestTransportEquivalence:
         shutdown_shared_pools()
 
     def test_no_segments_survive_the_fold(self, trace):
-        analyze_trace(trace, 4_000, backend=ProcessBackend(2, payload_transport="shm"))
+        analyze_trace(trace, 4_000, backend=ProcessBackend(2))
         assert _repro_segments() == []
         shutdown_shared_pools()
 
@@ -283,9 +276,7 @@ class TestMmapReads:
         path = save_trace_sharded(trace, tmp_path / "npy", shard_packets=17_000, layout="npy")
         eager = analyze_trace(path, 4_000)
         mapped = analyze_trace(path, 4_000, mmap=True)
-        parallel = analyze_trace(
-            path, 4_000, mmap=True, backend=ProcessBackend(2, payload_transport="shm")
-        )
+        parallel = analyze_trace(path, 4_000, mmap=True, backend=ProcessBackend(2))
         _assert_bit_identical(eager, mapped)
         _assert_bit_identical(eager, parallel)
         shutdown_shared_pools()
