@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.histogram import degree_histogram
 from repro.analysis.pooling import pool_differential_cumulative
+from repro.core.distributions import ZipfMandelbrotDistribution
 from repro.core.zm_fit import fit_zipf_mandelbrot
 from repro.experiments import FIG3_SCENARIOS, run_fig3, run_fig3_scenario
 from repro.experiments.config import default_palu_parameters
@@ -56,6 +58,26 @@ def pooled_observation():
 def test_zm_fit_kernel(benchmark, pooled_observation):
     pooled, dmax = pooled_observation
     fit = benchmark(fit_zipf_mandelbrot, pooled, dmax)
+    assert 1.0 < fit.alpha < 4.0
+
+
+@pytest.fixture(scope="module")
+def packet_count_observation():
+    """A packet-count observation at dmax ≈ 10^5.
+
+    200k draws from the law fitted to ``source_packets`` of an 8M-packet
+    trace at N_V = 1M (α ≈ 1.75, δ ≈ 0.5, dmax = 100 392): the support size
+    at which a model curve summed degree by degree made the fit slow.
+    """
+    dist = ZipfMandelbrotDistribution(alpha=1.75, delta=0.5, dmax=100_392)
+    hist = degree_histogram(dist.sample(200_000, rng=15))
+    return pool_differential_cumulative(hist), hist.dmax
+
+
+def test_zm_fit_kernel_packet_counts(benchmark, packet_count_observation):
+    pooled, dmax = packet_count_observation
+    fit = benchmark(fit_zipf_mandelbrot, pooled, dmax)
+    assert dmax > 50_000
     assert 1.0 < fit.alpha < 4.0
 
 

@@ -73,17 +73,37 @@ def pooled_relative_error(
     mask = obs > 0
     if not np.any(mask):
         return 0.0
-    if log_space:
-        err = np.log10(np.maximum(obs[mask], _LOG_FLOOR)) - np.log10(np.maximum(mod[mask], _LOG_FLOOR))
-    else:
-        err = obs[mask] - mod[mask]
+    w = None
     if weights is not None:
         w_full = np.asarray(weights, dtype=np.float64)
         if w_full.shape != obs.shape:
             raise ValueError("weights must have one entry per observed bin")
         w = w_full[mask]
-        return float(np.sum(w * err**2) / np.sum(w))
-    return float(np.mean(err**2))
+    if log_space:
+        return float(_log_mse(_log10_floored(obs[mask]), mod[mask], w))
+    return float(_mean_square(obs[mask] - mod[mask], w))
+
+
+def _log10_floored(values: np.ndarray) -> np.ndarray:
+    return np.log10(np.maximum(values, _LOG_FLOOR))
+
+
+def _mean_square(err: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    if weights is None:
+        return np.mean(err**2, axis=-1)
+    return np.sum(weights * err**2, axis=-1) / np.sum(weights)
+
+
+def _log_mse(observed_log: np.ndarray, model: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Log-space MSE of each row of *model* against ``log10`` observations.
+
+    The one definition of the Zipf–Mandelbrot fitting objective, shared by
+    :func:`pooled_relative_error` and the batched grid of
+    :func:`repro.core.zm_fit.fit_zipf_mandelbrot`.  *model* holds the model
+    probabilities of the informative bins (last axis), *weights* their
+    per-bin weights or ``None``.
+    """
+    return _mean_square(observed_log - _log10_floored(model), weights)
 
 
 def ks_statistic(histogram: DegreeHistogram, model: DiscreteDegreeDistribution) -> float:

@@ -537,9 +537,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("\nsketch error bounds (merged estimates):")
         print(format_table(_sketch_bounds_rows(analysis.bounds)))
     rows = []
+    fits = []
     for quantity in args.quantities:
         pooled = analysis.pooled(quantity)
         fit = analysis.fit_zipf_mandelbrot(quantity)
+        fits.append((quantity, fit))
         rows.append(
             {
                 "quantity": quantity,
@@ -553,9 +555,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print("\nZipf-Mandelbrot fits per quantity:")
     print(format_table(rows))
     if args.panel:
-        for quantity in args.quantities:
+        for quantity, fit in fits:
             pooled = analysis.pooled(quantity)
-            fit = analysis.fit_zipf_mandelbrot(quantity)
             model_pooled = pool_probability_vector(fit.model().probability())
             print()
             print(render_pooled_panel(pooled, model_pooled, title=f"{quantity} (α={fit.alpha:.2f}, δ={fit.delta:.2f})"))

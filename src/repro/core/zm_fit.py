@@ -12,7 +12,9 @@ bins.  This module implements that fit:
 The objective is the mean squared error between the ``log10`` of the pooled
 probabilities, optionally weighted by the inverse per-bin variance when the
 observation carries cross-window ``σ(d_i)`` information — matching how the
-log-log plots of Figure 3 weight every decade equally.
+log-log plots of Figure 3 weight every decade equally.  The model curve comes
+from the closed-form :func:`repro.core.zipf_mandelbrot.zm_bin_masses`, and the
+grid scan evaluates one whole ``α`` row per ``δ`` in a single call.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 from scipy import optimize
 
 from repro._util.validation import check_positive_int
-from repro.analysis.comparison import pooled_relative_error
+from repro.analysis.comparison import _log10_floored, _log_mse
 from repro.analysis.histogram import DegreeHistogram
 from repro.analysis.pooling import PooledDistribution, pool_differential_cumulative
-from repro.core.zipf_mandelbrot import ZipfMandelbrotModel, zm_differential_cumulative
+from repro.core.zipf_mandelbrot import ZipfMandelbrotModel, zm_bin_masses
 
 __all__ = ["ZMFitResult", "fit_zipf_mandelbrot", "fit_zipf_mandelbrot_histogram"]
 
@@ -84,12 +86,50 @@ class ZMFitResult:
         }
 
 
-def _objective(params: np.ndarray, observed: PooledDistribution, dmax: int, weights) -> float:
-    alpha, delta = float(params[0]), float(params[1])
-    if alpha <= 0.05 or alpha > 10.0 or 1.0 + delta <= 1e-9:
-        return 1e6
-    model = zm_differential_cumulative(dmax, alpha, delta)
-    return pooled_relative_error(observed, model, log_space=True, weights=weights)
+#: Objective value of parameters outside the admissible region.
+_PENALTY = 1e6
+
+
+class _Objective:
+    """The log-space pooled MSE of one observation, batched over ``α``.
+
+    The observed ``log10`` values of the positive bins, their weights and
+    their model-bin columns are computed once per fit;
+    each call then costs one :func:`zm_bin_masses` evaluation.
+    """
+
+    def __init__(self, observed: PooledDistribution, dmax: int, weights: np.ndarray | None) -> None:
+        mask = observed.values > 0
+        if not np.any(mask):
+            raise ValueError("cannot fit an observation with no positive bin")
+        edges = observed.bin_edges[mask]
+        self.columns = np.log2(edges).astype(np.int64)
+        if np.any(2**self.columns != edges):
+            raise ValueError("observed bin edges must be the binary-log edges d_i = 2^i")
+        # bin (e/2, e] begins at degree e//2 + 1 (bin 0 is degree 1)
+        first_degree = int(edges.max()) // 2 + 1
+        if dmax < first_degree:
+            raise ValueError(
+                f"dmax={dmax} is below degree {first_degree}, the smallest degree of the "
+                "last positive observed bin"
+            )
+        self.dmax = dmax
+        self.observed_log = _log10_floored(observed.values[mask])
+        self.weights = None if weights is None else weights[mask]
+
+    def __call__(self, alphas: np.ndarray, delta: float) -> np.ndarray:
+        """Objective at ``(α, δ)`` for every ``α`` in *alphas*."""
+        errors = np.full(alphas.shape, _PENALTY)
+        admissible = ~((alphas <= 0.05) | (alphas > 10.0))
+        if 1.0 + delta <= 1e-9 or not np.any(admissible):
+            return errors
+        masses = zm_bin_masses(self.dmax, alphas[admissible], delta)
+        errors[admissible] = _log_mse(self.observed_log, masses[:, self.columns], self.weights)
+        return errors
+
+    def at(self, params: np.ndarray) -> float:
+        """Objective at one ``(α, δ)`` pair, as Nelder–Mead calls it."""
+        return float(self(params[:1], float(params[1]))[0])
 
 
 def fit_zipf_mandelbrot(
@@ -139,24 +179,25 @@ def fit_zipf_mandelbrot(
             w = np.where(finite, w, fill)
             weights = w
 
-    n_informative = int(np.count_nonzero(observed.values > 0))
+    objective = _Objective(observed, dmax, weights)
+    n_informative = int(objective.columns.size)
 
-    best = (np.inf, None, None)
-    for alpha in alphas:
-        for delta in deltas:
-            err = _objective(np.array([alpha, delta]), observed, dmax, weights)
-            if err < best[0]:
-                best = (err, float(alpha), float(delta))
-    best_err, best_alpha, best_delta = best
-    if best_alpha is None:
+    # errors[i, j] at (alphas[i], deltas[j]); ravel() walks it α-major, and
+    # argmin's first minimum is the point a strict `<` α-major loop keeps
+    errors = np.stack([objective(alphas, float(delta)) for delta in deltas], axis=1)
+    flat = np.where(np.isnan(errors), np.inf, errors).ravel()
+    best = int(np.argmin(flat))
+    if not flat[best] < np.inf:
         raise RuntimeError("grid scan failed to evaluate any admissible parameter pair")
+    best_err = float(flat[best])
+    best_alpha = float(alphas[best // deltas.size])
+    best_delta = float(deltas[best % deltas.size])
 
     converged = False
     if refine:
         result = optimize.minimize(
-            _objective,
+            objective.at,
             x0=np.array([best_alpha, best_delta]),
-            args=(observed, dmax, weights),
             method="Nelder-Mead",
             options={"xatol": 1e-4, "fatol": 1e-8, "maxiter": 2000},
         )

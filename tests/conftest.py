@@ -28,6 +28,7 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 from repro.analysis.histogram import DegreeHistogram, degree_histogram
+from repro.analysis.pooling import PooledDistribution, log2_bin_edges
 from repro.core.distributions import PALUDegreeDistribution, ZipfMandelbrotDistribution
 from repro.core.palu_model import PALUParameters
 from repro.experiments.config import default_palu_parameters
@@ -84,3 +85,23 @@ def palu_sample_histogram() -> DegreeHistogram:
 def small_trace(small_palu_graph) -> PacketTrace:
     """A 120k-packet synthetic trace over the small PALU graph."""
     return generate_trace(small_palu_graph.graph, 120_000, rate_model="zipf", rng=SEED + 3)
+
+
+def _dense_zm_curve(dmax: int, alpha: float, delta: float) -> PooledDistribution:
+    """Reference model curve: the dense pmf on ``1..dmax`` pooled degree by degree.
+
+    The oracle for the closed-form :func:`repro.core.zipf_mandelbrot.zm_bin_masses`,
+    O(dmax) per evaluation.
+    """
+    degrees = np.arange(1, dmax + 1, dtype=np.float64)
+    pmf = (degrees + delta) ** -alpha
+    pmf /= pmf.sum()
+    bin_idx = np.ceil(np.log2(degrees)).astype(np.int64)
+    edges = log2_bin_edges(dmax)
+    return PooledDistribution(bin_edges=edges, values=np.bincount(bin_idx, weights=pmf, minlength=edges.size))
+
+
+@pytest.fixture(scope="session")
+def dense_zm_curve():
+    """The dense-sum Zipf–Mandelbrot model curve ``(dmax, α, δ) -> PooledDistribution``."""
+    return _dense_zm_curve

@@ -82,6 +82,29 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "█" in out
 
+    def test_analyze_panel_fits_each_quantity_once(self, trace_file, capsys, monkeypatch):
+        import repro.streaming.pipeline as pipeline
+
+        quantities = ["source_fanout", "destination_fanin"]
+        argv = ["analyze", str(trace_file), "--nv", "20000", "--quantities", *quantities]
+        assert main(argv) == 0
+        table_out = capsys.readouterr().out
+        calls = []
+        real_fit = pipeline.fit_zipf_mandelbrot
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_zipf_mandelbrot", counting_fit)
+        assert main([*argv, "--panel"]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == len(quantities)
+        # the panels are appended after the unchanged table output
+        assert out.startswith(table_out)
+        for quantity in quantities:
+            assert out.count(f"{quantity} (α=") == 1
+
     def test_analyze_backend_choices_validated(self, trace_file):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", str(trace_file), "--backend", "gpu"])

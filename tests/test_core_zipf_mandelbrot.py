@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.zipf_mandelbrot import (
     ZipfMandelbrotModel,
+    zm_bin_masses,
     zm_cumulative,
     zm_differential_cumulative,
     zm_probability,
@@ -108,6 +113,52 @@ class TestDifferentialCumulative:
         y = np.log(pooled.values[8:18])
         slope = np.polyfit(x, y, 1)[0]
         assert slope == pytest.approx(1 - alpha, abs=0.05)
+
+
+_ALPHAS = st.floats(min_value=0.05, max_value=10.0, exclude_min=True)
+_DELTAS = st.floats(min_value=-1.0 + 1e-9, max_value=10.0, exclude_min=True)
+_DMAXES = st.integers(min_value=1, max_value=2**21)
+
+
+class TestBinMasses:
+    """The closed-form bin masses against the dense per-degree sum."""
+
+    @given(alpha=_ALPHAS, delta=_DELTAS, dmax=_DMAXES)
+    @example(alpha=1.0, delta=0.0, dmax=1)
+    @example(alpha=1.0, delta=-0.5, dmax=2)
+    @example(alpha=1.0, delta=3.0, dmax=3)
+    @example(alpha=1.0, delta=-0.999, dmax=256)
+    @example(alpha=1.0, delta=10.0, dmax=257)
+    @example(alpha=1.0 - 1e-6, delta=0.0, dmax=2**12)
+    @example(alpha=1.0 + 1e-6, delta=0.0, dmax=2**12 + 1)
+    @example(alpha=9.99, delta=-1.0 + 1e-9, dmax=2**20 + 1)
+    @example(alpha=2.0, delta=10.0, dmax=2**20 + 1)  # one-degree last bin far from the origin
+    @example(alpha=0.06, delta=10.0, dmax=2**21)
+    def test_matches_dense_sum(self, dense_zm_curve, alpha, delta, dmax):
+        masses = zm_bin_masses(dmax, [alpha], delta)
+        oracle = dense_zm_curve(dmax, alpha, delta).values
+        assert masses.shape == (1, oracle.size)
+        nonempty = oracle > 0
+        np.testing.assert_allclose(masses[0][nonempty], oracle[nonempty], rtol=1e-12, atol=0)
+        # the exact sum of the row's floats
+        assert abs(math.fsum(masses[0]) - 1.0) <= 1e-15
+
+    @given(alphas=st.lists(_ALPHAS, min_size=1, max_size=12), delta=_DELTAS, dmax=_DMAXES)
+    @example(alphas=[1.0, 2.0, 0.5], delta=0.0, dmax=257)
+    def test_batched_rows_equal_single_calls(self, alphas, delta, dmax):
+        batch = zm_bin_masses(dmax, alphas, delta)
+        assert batch.shape[0] == len(alphas)
+        for row, alpha in zip(batch, alphas):
+            assert row.tobytes() == zm_bin_masses(dmax, [alpha], delta)[0].tobytes()
+
+    def test_differential_cumulative_is_row_zero(self):
+        pooled = zm_differential_cumulative(100_392, 1.75, 0.5)
+        assert pooled.values.tobytes() == zm_bin_masses(100_392, [1.75], 0.5)[0].tobytes()
+
+    @pytest.mark.parametrize("alpha,delta", [(0.0, 0.0), (-1.0, 0.0), (np.inf, 0.0), (np.nan, 0.0), (2.0, -1.0), (2.0, -1.5)])
+    def test_rejects_inadmissible_parameters(self, alpha, delta):
+        with pytest.raises(ValueError):
+            zm_bin_masses(100, [alpha], delta)
 
 
 class TestModelObject:
