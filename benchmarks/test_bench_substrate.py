@@ -22,7 +22,8 @@ from repro.generators.degree_sequence import sample_power_law_degrees
 from repro.generators.palu_graph import generate_palu_graph
 from repro.generators.sampling import sample_edges_array
 from repro.streaming.trace_generator import generate_trace
-from repro.streaming.window import window_boundaries
+from repro.streaming.packet import PacketTrace
+from repro.streaming.window import PushWindower, window_boundaries
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,19 @@ def test_trace_generation_500k_packets(benchmark, palu_graph):
 def test_window_boundary_computation(benchmark, big_trace):
     boundaries = benchmark(window_boundaries, big_trace, 100_000)
     assert boundaries.size == 6
+
+
+def test_push_windower_all_valid_chunk(benchmark):
+    # one 1M-packet all-valid chunk cut into ten N_V = 100k windows: the
+    # windower's per-chunk cost on the common clean-traffic path (a count of
+    # the chunk's valid column, then arithmetic boundaries)
+    rng = np.random.default_rng(9)
+    chunk = PacketTrace.from_arrays(
+        rng.integers(0, 30_000, 1_000_000), rng.integers(0, 30_000, 1_000_000)
+    )
+    windower = PushWindower(100_000)
+    windows = benchmark(windower.push, chunk)
+    assert len(windows) == 10 and windower.buffered_packets == 0
 
 
 def test_degree_histogram_of_million_values(benchmark):

@@ -94,13 +94,13 @@ def window_payload(window: PacketTrace) -> WindowPayload:
     Copies ``src``/``dst`` out of the structured record array into
     contiguous buffers (strided structured columns pickle poorly) and drops
     ``time``/``size``.  The ``valid`` column is replaced by ``None`` when
-    every packet is valid so it costs nothing on clean traffic.
+    every packet is valid so it costs nothing on clean traffic (the same
+    test as :func:`valid_columns`).
     """
     packets = window.packets
     src = np.ascontiguousarray(packets["src"])
     dst = np.ascontiguousarray(packets["dst"])
-    valid = packets["valid"]
-    return (src, dst, np.ascontiguousarray(valid) if not valid.all() else None)
+    return (src, dst, None if _all_valid(window) else np.ascontiguousarray(packets["valid"]))
 
 
 def payload_columns(payload: WindowPayload) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,22 +111,42 @@ def payload_columns(payload: WindowPayload) -> Tuple[np.ndarray, np.ndarray]:
     return src[valid], dst[valid]
 
 
+def _all_valid(window: PacketTrace) -> bool:
+    """Whether every packet of *window* is valid.
+
+    Windows cut by :mod:`repro.streaming.window` carry their valid count, so
+    this reads no column; other traces count ``valid`` once.
+    """
+    return window.n_valid == window.n_packets
+
+
 def valid_columns(window: PacketTrace) -> Tuple[np.ndarray, np.ndarray]:
     """Valid-only ``(src, dst)`` columns of an in-memory window."""
     packets = window.packets
-    valid = packets["valid"]
-    if valid.all():
+    if _all_valid(window):
         return np.ascontiguousarray(packets["src"]), np.ascontiguousarray(packets["dst"])
+    valid = packets["valid"]
     return packets["src"][valid], packets["dst"][valid]
+
+
+def _ids_fit(ids: np.ndarray) -> bool:
+    """Whether every id in *ids* lies in ``[0, KERNEL_MAX_ID]``, in one max pass."""
+    if ids.size == 0:
+        return True
+    kind = ids.dtype.kind
+    if kind == "u":
+        return int(ids.max()) <= KERNEL_MAX_ID
+    if kind == "i":
+        # read as unsigned, a negative id is >= 2**(bits - 1): above every
+        # non-negative id of the dtype, so one max bounds both ends
+        limit = min(KERNEL_MAX_ID, 2 ** (8 * ids.dtype.itemsize - 1) - 1)
+        return int(ids.view(ids.dtype.str.replace("i", "u")).max()) <= limit
+    return int(ids.min()) >= 0 and int(ids.max()) <= KERNEL_MAX_ID
 
 
 def packable(src: np.ndarray, dst: np.ndarray) -> bool:
     """Whether every endpoint id fits the packed ``(src << 32) | dst`` key."""
-    if src.size == 0:
-        return True
-    lo = min(int(src.min()), int(dst.min()))
-    hi = max(int(src.max()), int(dst.max()))
-    return lo >= 0 and hi <= KERNEL_MAX_ID
+    return _ids_fit(src) and _ids_fit(dst)
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ Each record carries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,6 +44,10 @@ class PacketTrace:
     """
 
     packets: np.ndarray
+    #: Valid-packet count known at construction (the windowers cut windows
+    #: of exactly ``N_V`` valid packets, so they know it without a scan);
+    #: ``None`` means :attr:`n_valid` counts the ``valid`` column on demand.
+    _n_valid: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.packets)
@@ -84,6 +88,17 @@ class PacketTrace:
         return PacketTrace(records)
 
     @staticmethod
+    def _counted(packets: np.ndarray, n_valid: int) -> "PacketTrace":
+        """A trace over *packets* whose valid-packet count the caller already knows.
+
+        The count is trusted, not checked: only code that derived it from
+        the same records (the windowers) may use this constructor.
+        """
+        trace = PacketTrace(packets)
+        object.__setattr__(trace, "_n_valid", int(n_valid))
+        return trace
+
+    @staticmethod
     def empty() -> "PacketTrace":
         """An empty trace."""
         return PacketTrace(np.empty(0, dtype=PACKET_DTYPE))
@@ -101,6 +116,8 @@ class PacketTrace:
     @property
     def n_valid(self) -> int:
         """Number of valid packets (the quantity windows are measured in)."""
+        if self._n_valid is not None:
+            return self._n_valid
         return int(np.count_nonzero(self.packets["valid"]))
 
     @property

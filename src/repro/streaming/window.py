@@ -88,17 +88,38 @@ def iter_windows(trace: PacketTrace, n_valid: int) -> Iterator[PacketTrace]:
     Windows are shared-memory slices of the parent trace; the final partial
     window (fewer than *n_valid* valid packets) is not emitted.
     """
-    boundaries = window_boundaries(trace, n_valid)
-    for k in range(boundaries.size - 1):
-        yield trace.slice(int(boundaries[k]), int(boundaries[k + 1]))
+    n_valid = check_positive_int(n_valid, "n_valid")
+    yield from _cut(trace.packets, trace.n_valid, n_valid)[0]
+
+
+def _cut(packets: np.ndarray, total_valid: int, n_valid: int) -> Tuple[list[PacketTrace], int]:
+    """The complete windows of *packets*, which hold *total_valid* valid packets.
+
+    Returns the windows and the packet index one past the last of them.
+    When every packet is valid, window ``k`` ends at ``(k+1)·N_V``, so the
+    boundaries are arithmetic; otherwise :func:`window_boundaries` finds
+    them in the running count of the ``valid`` column.  Every window
+    carries its valid count (exactly *n_valid*), so the kernel's column
+    extractors need not scan ``valid`` again.
+    """
+    if total_valid == packets.size:
+        bounds = range(0, total_valid + 1, n_valid)
+    else:
+        bounds = window_boundaries(PacketTrace(packets), n_valid).tolist()
+    windows = [
+        PacketTrace._counted(packets[start:stop], n_valid)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    return windows, bounds[-1]
 
 
 class PushWindower:
     """Incremental push-driven windower: feed chunks, receive cut windows.
 
     The *push* counterpart of :class:`ChunkedWindower` — and its actual
-    implementation: both cut with :func:`window_boundaries` over a buffer
-    that always starts at a window boundary, so for **any** re-batching of
+    implementation: both cut by one rule (arithmetic for an all-valid
+    buffer, :func:`window_boundaries` otherwise) over a buffer that always
+    starts at a window boundary, so for **any** re-batching of
     the same packet stream the emitted windows are packet-identical to
     ``iter_windows(full_trace, n_valid)``.  That invariance is what lets a
     resident daemon fed arbitrary network batches reproduce a one-shot
@@ -155,18 +176,12 @@ class PushWindower:
         self.max_buffered_packets = max(self.max_buffered_packets, self._n_buffered)
         if self._valid_buffered < self.n_valid:
             return []
-        buffered = PacketTrace(
-            self._parts[0] if len(self._parts) == 1 else np.concatenate(self._parts)
-        )
-        boundaries = window_boundaries(buffered, self.n_valid)
-        windows = [
-            buffered.slice(int(boundaries[k]), int(boundaries[k + 1]))
-            for k in range(boundaries.size - 1)
-        ]
-        leftover = buffered.packets[int(boundaries[-1]):]
+        buffered = self._parts[0] if len(self._parts) == 1 else np.concatenate(self._parts)
+        windows, end = _cut(buffered, self._valid_buffered, self.n_valid)
+        leftover = buffered[end:]
         self._parts = [leftover] if leftover.size else []
         self._n_buffered = int(leftover.size)
-        self._valid_buffered -= (boundaries.size - 1) * self.n_valid
+        self._valid_buffered -= len(windows) * self.n_valid
         return windows
 
     def snapshot(self) -> dict:

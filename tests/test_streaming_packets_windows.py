@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.streaming.packet import PACKET_DTYPE, PacketTrace, concatenate_traces
 from repro.streaming.trace_io import load_trace, save_trace
-from repro.streaming.window import count_windows, iter_windows, window_boundaries
+from repro.streaming.window import (
+    ChunkedWindower,
+    PushWindower,
+    count_windows,
+    iter_windows,
+    window_boundaries,
+)
 
 
 def _trace_with_invalid(n: int = 100, every: int = 10) -> PacketTrace:
@@ -51,6 +59,15 @@ class TestPacketTrace:
     def test_unique_endpoints(self):
         trace = PacketTrace.from_arrays([1, 1, 2], [5, 6, 5])
         np.testing.assert_array_equal(trace.unique_endpoints(), [1, 2, 5, 6])
+
+    def test_hand_built_count_follows_the_records(self):
+        # only the windowers carry a count; any other trace counts its
+        # valid column on demand, so the count cannot go stale
+        trace = PacketTrace.from_arrays([1, 2, 3], [4, 5, 6])
+        assert trace.n_valid == 3
+        trace.packets["valid"][0] = False
+        assert trace.n_valid == 2
+        assert trace.slice(0, 2).n_valid == 1
 
     def test_slice_is_view_semantics(self):
         trace = _trace_with_invalid(50)
@@ -124,6 +141,58 @@ class TestWindowing:
     def test_invalid_nv_rejected(self):
         with pytest.raises((ValueError, TypeError)):
             list(iter_windows(_trace_with_invalid(10), 0))
+
+
+@st.composite
+def _chunked_streams(draw):
+    """A packet stream, a window size, a chunking of the stream, and a restore point."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    kind = draw(st.sampled_from(["all-valid", "all-invalid", "mixed"]))
+    if kind == "mixed":
+        valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        valid = [kind == "all-valid"] * n
+    trace = PacketTrace.from_arrays(
+        np.arange(n) % 11, (np.arange(n) * 7) % 13, valid=np.asarray(valid, dtype=bool)
+    )
+    n_valid = draw(st.integers(min_value=1, max_value=40))
+    # repeated cut points make empty chunks, which the windower must skip
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=n), max_size=12)))
+    bounds = [0, *cuts, n]
+    chunks = [trace.slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    restore_at = draw(st.integers(min_value=0, max_value=len(chunks)))
+    return trace, n_valid, chunks, restore_at
+
+
+def _assert_same_windows(windows, expected, n_valid):
+    assert len(windows) == len(expected)
+    for window, reference in zip(windows, expected):
+        assert window.packets.tobytes() == reference.packets.tobytes()
+        # the count a window carries is the count of its records
+        assert window.n_valid == np.count_nonzero(window.packets["valid"]) == n_valid
+
+
+class TestWindowerProperties:
+    @given(stream=_chunked_streams())
+    @settings(max_examples=200)
+    def test_chunked_and_push_windows_match_iter_windows(self, stream):
+        trace, n_valid, chunks, restore_at = stream
+        expected = list(iter_windows(trace, n_valid))
+        _assert_same_windows(expected, expected, n_valid)
+        _assert_same_windows(list(ChunkedWindower(iter(chunks), n_valid)), expected, n_valid)
+
+        # push the first chunks, checkpoint, and finish in a fresh windower
+        first = PushWindower(n_valid)
+        windows = [w for chunk in chunks[:restore_at] for w in first.push(chunk)]
+        state = first.snapshot()
+        assert np.count_nonzero(state["packets"]["valid"]) == first.buffered_valid
+        second = PushWindower(n_valid)
+        second.restore(state)
+        assert (second.buffered_packets, second.buffered_valid) == (
+            first.buffered_packets, first.buffered_valid
+        )
+        windows += [w for chunk in chunks[restore_at:] for w in second.push(chunk)]
+        _assert_same_windows(windows, expected, n_valid)
 
 
 class TestTraceIO:
